@@ -41,12 +41,10 @@
 namespace spf {
 namespace bench {
 
+/// SPF_SCALE: a strictly positive finite number (default 1.0). Anything
+/// else exits with ConfigErrorExit before a cell runs.
 inline double scaleFromEnv() {
-  const char *S = std::getenv("SPF_SCALE");
-  if (!S)
-    return 1.0;
-  double V = std::atof(S);
-  return V > 0 ? V : 1.0;
+  return support::envDouble("SPF_SCALE", 1.0, 0.0, /*MinExclusive=*/true);
 }
 
 inline workloads::WorkloadConfig benchConfig() {

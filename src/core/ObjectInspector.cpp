@@ -2,6 +2,7 @@
 
 #include "core/ObjectInspector.h"
 
+#include "ir/Semantics.h"
 #include "obs/DecisionLog.h"
 #include "support/ErrorHandling.h"
 #include "support/FaultInjection.h"
@@ -146,61 +147,9 @@ IVal InspectRun::evalBinary(const std::vector<IVal> &Regs,
   IVal L = eval(Regs, B->lhs()), R = eval(Regs, B->rhs());
   if (!L.Known || !R.Known)
     return IVal::unknown();
-
-  using BinOp = BinaryInst::BinOp;
-  Type OpTy = B->lhs()->type();
-
-  if (OpTy == Type::F64) {
-    double A, C;
-    __builtin_memcpy(&A, &L.Raw, 8);
-    __builtin_memcpy(&C, &R.Raw, 8);
-    double Res;
-    switch (B->binOp()) {
-    case BinOp::Add: Res = A + C; break;
-    case BinOp::Sub: Res = A - C; break;
-    case BinOp::Mul: Res = A * C; break;
-    case BinOp::Div: Res = A / C; break;
-    case BinOp::CmpEq: return IVal::known(A == C);
-    case BinOp::CmpNe: return IVal::known(A != C);
-    case BinOp::CmpLt: return IVal::known(A < C);
-    case BinOp::CmpLe: return IVal::known(A <= C);
-    case BinOp::CmpGt: return IVal::known(A > C);
-    case BinOp::CmpGe: return IVal::known(A >= C);
-    default: return IVal::unknown();
-    }
-    uint64_t Bits;
-    __builtin_memcpy(&Bits, &Res, 8);
-    return IVal::known(Bits);
-  }
-
-  int64_t A = static_cast<int64_t>(L.Raw);
-  int64_t C = static_cast<int64_t>(R.Raw);
-  auto Wrap = [OpTy](int64_t V) {
-    if (OpTy == Type::I32)
-      return IVal::known(static_cast<uint64_t>(
-          static_cast<int64_t>(static_cast<int32_t>(V))));
-    return IVal::known(static_cast<uint64_t>(V));
-  };
-
-  switch (B->binOp()) {
-  case BinOp::Add: return Wrap(A + C);
-  case BinOp::Sub: return Wrap(A - C);
-  case BinOp::Mul: return Wrap(A * C);
-  case BinOp::Div: return C ? Wrap(A / C) : IVal::unknown();
-  case BinOp::Rem: return C ? Wrap(A % C) : IVal::unknown();
-  case BinOp::And: return Wrap(A & C);
-  case BinOp::Or: return Wrap(A | C);
-  case BinOp::Xor: return Wrap(A ^ C);
-  case BinOp::Shl: return Wrap(A << (C & 63));
-  case BinOp::Shr: return Wrap(A >> (C & 63));
-  case BinOp::CmpEq: return IVal::known(L.Raw == R.Raw);
-  case BinOp::CmpNe: return IVal::known(L.Raw != R.Raw);
-  case BinOp::CmpLt: return IVal::known(A < C);
-  case BinOp::CmpLe: return IVal::known(A <= C);
-  case BinOp::CmpGt: return IVal::known(A > C);
-  case BinOp::CmpGe: return IVal::known(A >= C);
-  }
-  spf_unreachable("unknown binop");
+  std::optional<uint64_t> V =
+      sem::evalBinary(B->binOp(), B->lhs()->type(), L.Raw, R.Raw);
+  return V ? IVal::known(*V) : IVal::unknown();
 }
 
 IVal InspectRun::evalConv(const std::vector<IVal> &Regs,
@@ -208,26 +157,7 @@ IVal InspectRun::evalConv(const std::vector<IVal> &Regs,
   IVal S = eval(Regs, C->src());
   if (!S.Known)
     return IVal::unknown();
-  switch (C->convOp()) {
-  case ConvInst::ConvOp::SExt32To64:
-    return S;
-  case ConvInst::ConvOp::Trunc64To32:
-    return IVal::known(static_cast<uint64_t>(
-        static_cast<int64_t>(static_cast<int32_t>(S.Raw))));
-  case ConvInst::ConvOp::IToF: {
-    double D = static_cast<double>(static_cast<int64_t>(S.Raw));
-    uint64_t Bits;
-    __builtin_memcpy(&Bits, &D, 8);
-    return IVal::known(Bits);
-  }
-  case ConvInst::ConvOp::FToI: {
-    double D;
-    __builtin_memcpy(&D, &S.Raw, 8);
-    return IVal::known(static_cast<uint64_t>(
-        static_cast<int64_t>(static_cast<int32_t>(D))));
-  }
-  }
-  spf_unreachable("unknown conversion");
+  return IVal::known(sem::evalConv(C->convOp(), S.Raw));
 }
 
 /// Computes the memory address a heap load will access, when known.

@@ -66,14 +66,13 @@ public:
   /// Guarded load whose check failed: recovery-path cost only.
   virtual void guardedLoadFault() = 0;
 
-  // Site-attributed prefetch events. The interpreter uses these when
-  // per-site prefetch-health accounting is active (the governor's
-  // evidence stream); \p Site is the IR load site whose plan issued the
-  // prefetch. Semantically identical to the unattributed forms — the
-  // defaults forward, so sinks that don't track health need no changes —
-  // and NOT part of the trace wire format: attribution is a live-run
-  // concern, and governor-driven runs are never trace-cached
-  // (workloads::executionSignature refuses to key them).
+  // Site-attributed prefetch events. Under governance (the governor's
+  // evidence stream) \p Site is the IR load site whose plan issued the
+  // prefetch; ungoverned runs and replays pass 0. Semantically identical
+  // to the unattributed forms — the defaults forward, so sinks that don't
+  // track health need no changes — and NOT part of the trace wire format:
+  // attribution is a live-run concern, and governor-driven runs are never
+  // trace-cached (workloads::executionSignature refuses to key them).
   virtual void prefetch(uint64_t Addr, SiteId Site) {
     (void)Site;
     prefetch(Addr);
@@ -128,14 +127,19 @@ struct AccessEvent {
   /// Address for Load/Store/Prefetch/GuardedLoad; tick count for Tick;
   /// zero for GuardedLoadFault.
   uint64_t Value = 0;
-  /// Load site for Load events; zero otherwise.
+  /// Load site for Load events. For Prefetch/GuardedLoad/GuardedLoadFault
+  /// the governor's attribution site on a governed live run, zero on
+  /// ungoverned runs and replays (the trace does not encode it). Zero for
+  /// Store and Tick.
   SiteId Site = 0;
 
   bool operator==(const AccessEvent &) const = default;
 };
 
-/// Dispatches one decoded event into \p Sink.
-inline void dispatch(const AccessEvent &E, AccessSink &Sink) {
+/// Dispatches one decoded event into \p Sink. Instantiated with a final
+/// sink class, the member calls bind statically.
+template <typename SinkT>
+inline void dispatch(const AccessEvent &E, SinkT &Sink) {
   switch (E.Kind) {
   case EventKind::Tick:
     Sink.tick(E.Value);
@@ -147,13 +151,13 @@ inline void dispatch(const AccessEvent &E, AccessSink &Sink) {
     Sink.store(E.Value);
     break;
   case EventKind::Prefetch:
-    Sink.prefetch(E.Value);
+    Sink.prefetch(E.Value, E.Site);
     break;
   case EventKind::GuardedLoad:
-    Sink.guardedLoad(E.Value);
+    Sink.guardedLoad(E.Value, E.Site);
     break;
   case EventKind::GuardedLoadFault:
-    Sink.guardedLoadFault();
+    Sink.guardedLoadFault(E.Site);
     break;
   }
 }

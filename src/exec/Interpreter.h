@@ -24,6 +24,7 @@
 #include "vm/GarbageCollector.h"
 
 #include <chrono>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -51,6 +52,14 @@ struct ExecStats {
 };
 
 /// Executes IR methods; one instance per simulated machine run.
+///
+/// Each method is lowered once, on its first call, into a flat decoded
+/// form (dense register slots, constants preloaded, phis lowered to moves
+/// on CFG edges; see Interpreter.cpp). Activations share one contiguous
+/// register stack. Memory events are appended to a fixed block and handed
+/// to the sink through AccessSink::consume(): when the block fills, before
+/// every garbage collection, and on every exit from run() — including an
+/// exception unwinding out of it.
 class Interpreter {
 public:
   /// \p ExternalRoots are mutator handles (workload data-structure roots)
@@ -59,8 +68,14 @@ public:
   /// trace::RecordingSink); the interpreter never reads it back.
   Interpreter(vm::Heap &Heap, AccessSink &Sink,
               std::vector<vm::Addr> *ExternalRoots = nullptr);
+  ~Interpreter();
+
+  Interpreter(const Interpreter &) = delete;
+  Interpreter &operator=(const Interpreter &) = delete;
 
   /// Runs \p M with \p Args; returns the raw 64-bit result (0 for void).
+  /// Every event the run produced has reached the sink when this returns
+  /// or throws.
   uint64_t run(ir::Method *M, const std::vector<uint64_t> &Args);
 
   /// Called when a method's invocation counter reaches the mixed-mode
@@ -106,8 +121,7 @@ public:
   /// Turns on governor mode: prefetch/guarded-load events carry the
   /// anchor load's SiteId (the sink's per-site health attribution), and
   /// the control table below is consulted per prefetch. Off by default —
-  /// the prefetch execution path is then byte-identical to the
-  /// pre-governor interpreter.
+  /// prefetch events then carry site 0, exactly as a replayed trace does.
   void enablePrefetchGovernance() { Governed = true; }
   bool prefetchGovernanceEnabled() const { return Governed; }
 
@@ -118,10 +132,12 @@ public:
   /// Drops all controls (after re-inspection rebuilds the prefetch code).
   void clearPrefetchControls() { Controls.clear(); }
 
-  /// Invalidates cached per-method layout info. Must be called after any
-  /// out-of-band IR rewrite (governor-triggered re-JIT): value counts and
-  /// ref-slot tables are stale otherwise.
-  void invalidateMethodInfo() { Infos.clear(); }
+  /// Drops every decoded method. Must be called after any out-of-band IR
+  /// rewrite (governor-triggered re-JIT), and never while run() is active:
+  /// the decoded forms mirror the IR as it was when each method was first
+  /// called. Load sites survive — they are keyed by instruction, so a load
+  /// the rewrite kept keeps its SiteId.
+  void invalidateMethodInfo();
 
   /// The attribution site of a prefetch/spec-load: its anchor load's
   /// site when anchored, else the instruction's own (fresh) site.
@@ -143,27 +159,41 @@ public:
   void setDeadline(double Seconds);
 
 private:
+  struct Op;
+  struct DecodedMethod;
+
+  /// One activation on the register stack.
+  struct Frame {
+    DecodedMethod *D;
+    /// First register slot of the activation in RegStack.
+    uint32_t Base;
+    /// Caller op index to resume at, and the caller slot that receives
+    /// the result (NoSlot when none).
+    uint32_t RetPC;
+    uint32_t RetDst;
+    /// Ticks charged per retired instruction (mixed-mode interpretation).
+    uint32_t Penalty;
+  };
+
   /// Throws support::CellTimeout when the deadline has passed.
   void checkDeadline() const;
 
-  struct MethodInfo {
-    unsigned NumValues = 0;
-    std::vector<unsigned> RefValueIds; // Dense ids of Ref-typed values.
-  };
-
-  struct Frame {
-    ir::Method *M = nullptr;
-    std::vector<uint64_t> Regs;
-  };
-
-  const MethodInfo &infoFor(ir::Method *M);
   SiteId siteOf(const ir::Instruction *I);
+  DecodedMethod &decodedFor(ir::Method *M);
+  std::unique_ptr<DecodedMethod> decode(ir::Method *M);
   uint64_t execute(ir::Method *M, const std::vector<uint64_t> &Args);
-  uint64_t eval(const Frame &F, const ir::Value *V) const;
-  uint64_t evalBinary(const ir::BinaryInst *B, uint64_t L, uint64_t R) const;
-  vm::Addr addressOf(const Frame &F, const ir::AddressedInst *A) const;
-  vm::Addr allocate(const ir::Instruction *I, const Frame &F);
+  /// Activates \p M with \p Args on top of the register stack.
+  void pushFrame(ir::Method *M, const std::vector<uint64_t> &Args,
+                 uint32_t RetPC, uint32_t RetDst);
+  /// First retired count at which the hot loop must stop for a budget or
+  /// deadline check.
+  uint64_t retireStop(uint64_t Retired) const;
+  /// The budget trap and the deadline poll, at Stats.Retired.
+  void checkRetireLimits() const;
+  vm::Addr allocate(const Op &O, const uint64_t *Regs);
   void collectGarbage();
+  /// Hands the pending ticks and the event block to the sink.
+  void flushEvents();
 
   vm::Heap &Heap;
   AccessSink &Sink;
@@ -178,16 +208,28 @@ private:
   uint64_t MaxInstructions = 4ull << 30;
   bool HasDeadline = false;
   std::chrono::steady_clock::time_point Deadline;
-  std::unordered_map<ir::Method *, MethodInfo> Infos;
+  std::unordered_map<const ir::Method *, std::unique_ptr<DecodedMethod>>
+      Decoded;
   /// Load-site attribution: instruction -> dense SiteId, assigned in
   /// first-execution order (deterministic for a deterministic program).
+  /// Decoded ops cache their SiteId after the first lookup.
   std::unordered_map<const ir::Instruction *, SiteId> LoadSites;
-  std::vector<Frame *> ActiveFrames;
-  unsigned CallDepth = 0;
+  /// All activations' register slots, innermost last.
+  std::vector<uint64_t> RegStack;
+  std::vector<Frame> Frames;
+  /// Scratch for call arguments.
+  std::vector<uint64_t> CallArgs;
   /// Governor mode (enablePrefetchGovernance()).
   bool Governed = false;
   /// Per-site runtime controls, keyed by anchor SiteId.
   std::unordered_map<SiteId, PrefetchControl> Controls;
+
+  /// The event block: ticks accumulate in PendingTicks and enter the
+  /// block as one merged Tick event ahead of the next memory event.
+  static constexpr size_t BlockEvents = 256;
+  AccessEvent Block[BlockEvents];
+  size_t NumEvents = 0;
+  uint64_t PendingTicks = 0;
 };
 
 } // namespace exec

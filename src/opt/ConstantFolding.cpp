@@ -3,7 +3,7 @@
 #include "opt/ConstantFolding.h"
 
 #include "ir/Module.h"
-#include "support/ErrorHandling.h"
+#include "ir/Semantics.h"
 
 #include <optional>
 
@@ -11,45 +11,14 @@ using namespace spf;
 using namespace spf::opt;
 using namespace spf::ir;
 
-static std::optional<uint64_t> foldBinary(const BinaryInst *B, int64_t L,
-                                          int64_t R) {
-  using BinOp = BinaryInst::BinOp;
+/// Folds integer arithmetic through the shared Java semantics; a zero
+/// divisor is left for the runtime to trap on.
+static std::optional<uint64_t> foldBinary(const BinaryInst *B, uint64_t L,
+                                          uint64_t R) {
   Type OpTy = B->lhs()->type();
   if (OpTy == Type::F64 || OpTy == Type::Ref)
     return std::nullopt; // Keep it simple: fold integers only.
-
-  auto Wrap = [OpTy](int64_t V) -> uint64_t {
-    if (OpTy == Type::I32)
-      return static_cast<uint64_t>(
-          static_cast<int64_t>(static_cast<int32_t>(V)));
-    return static_cast<uint64_t>(V);
-  };
-
-  switch (B->binOp()) {
-  case BinOp::Add: return Wrap(L + R);
-  case BinOp::Sub: return Wrap(L - R);
-  case BinOp::Mul: return Wrap(L * R);
-  case BinOp::Div:
-    if (R == 0)
-      return std::nullopt; // Let the runtime trap.
-    return Wrap(L / R);
-  case BinOp::Rem:
-    if (R == 0)
-      return std::nullopt;
-    return Wrap(L % R);
-  case BinOp::And: return Wrap(L & R);
-  case BinOp::Or: return Wrap(L | R);
-  case BinOp::Xor: return Wrap(L ^ R);
-  case BinOp::Shl: return Wrap(L << (R & 63));
-  case BinOp::Shr: return Wrap(L >> (R & 63));
-  case BinOp::CmpEq: return L == R;
-  case BinOp::CmpNe: return L != R;
-  case BinOp::CmpLt: return L < R;
-  case BinOp::CmpLe: return L <= R;
-  case BinOp::CmpGt: return L > R;
-  case BinOp::CmpGe: return L >= R;
-  }
-  spf_unreachable("unknown binop");
+  return sem::evalBinary(B->binOp(), OpTy, L, R);
 }
 
 unsigned opt::foldConstants(Method *M) {
@@ -71,7 +40,7 @@ unsigned opt::foldConstants(Method *M) {
         auto *R = dyn_cast<Constant>(B->rhs());
         if (!L || !R)
           continue;
-        auto V = foldBinary(B, L->intValue(), R->intValue());
+        auto V = foldBinary(B, L->raw(), R->raw());
         if (!V)
           continue;
         Replacements.emplace_back(

@@ -339,7 +339,8 @@ void MemorySystem::consume(const exec::AccessEvent *Events, size_t N) {
   // the only ones that enable tracking, and they are never the replay
   // throughput path.
   if (SwHealth) {
-    exec::AccessSink::consume(Events, N);
+    for (size_t I = 0; I != N; ++I)
+      exec::dispatch(Events[I], *this);
     return;
   }
   // The replay fast path: one virtual consume() per block, and inside it
@@ -473,12 +474,12 @@ void MemorySystem::consume(const exec::AccessEvent *Events, size_t N) {
       break;
     case exec::EventKind::Prefetch:
       SyncMachine();
-      prefetch(E.Value);
+      prefetchImpl(E.Value, E.Site);
       RehoistMachine();
       break;
     case exec::EventKind::GuardedLoad:
       SyncMachine();
-      guardedLoad(E.Value);
+      guardedLoadImpl(E.Value, E.Site);
       RehoistMachine();
       break;
     case exec::EventKind::GuardedLoadFault:

@@ -27,9 +27,11 @@ inline constexpr int ConfigErrorExit = 2;
 [[noreturn]] void envConfigError(const char *Var, const char *Value,
                                  const std::string &Why);
 
-/// Finite double >= \p Min from \p Var; \p Default when unset or empty.
-/// Anything else (trailing garbage, NaN, below Min) fails fast.
-double envDouble(const char *Var, double Default, double Min = 0.0);
+/// Finite double >= \p Min (> \p Min when \p MinExclusive) from \p Var;
+/// \p Default when unset or empty. Anything else (trailing garbage, NaN,
+/// out of range) fails fast.
+double envDouble(const char *Var, double Default, double Min = 0.0,
+                 bool MinExclusive = false);
 
 /// Unsigned integer from \p Var; \p Default when unset or empty.
 uint64_t envU64(const char *Var, uint64_t Default);

@@ -66,6 +66,35 @@ public:
     Inner.guardedLoadFault(Site);
   }
 
+  /// Block path: encodes the whole block, then forwards it in one call so
+  /// the inner sink keeps its batched path.
+  void consume(const exec::AccessEvent *Events, size_t N) override {
+    for (size_t I = 0; I != N; ++I) {
+      const exec::AccessEvent &E = Events[I];
+      switch (E.Kind) {
+      case exec::EventKind::Tick:
+        Buf.tick(E.Value);
+        break;
+      case exec::EventKind::Load:
+        Buf.load(E.Value, E.Site);
+        break;
+      case exec::EventKind::Store:
+        Buf.store(E.Value);
+        break;
+      case exec::EventKind::Prefetch:
+        Buf.prefetch(E.Value);
+        break;
+      case exec::EventKind::GuardedLoad:
+        Buf.guardedLoad(E.Value);
+        break;
+      case exec::EventKind::GuardedLoadFault:
+        Buf.guardedLoadFault();
+        break;
+      }
+    }
+    Inner.consume(Events, N);
+  }
+
 private:
   exec::AccessSink &Inner;
   TraceBuffer &Buf;

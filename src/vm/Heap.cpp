@@ -4,30 +4,47 @@
 
 #include "support/ErrorHandling.h"
 
+#include <new>
+
+#include <sys/mman.h>
+
 using namespace spf;
 using namespace spf::vm;
 
 static uint64_t alignUp8(uint64_t N) { return (N + 7) & ~7ull; }
 
+/// Reserves \p Bytes of zero-reading memory that the kernel commits page by
+/// page on first touch, so an untouched heap costs neither page faults nor
+/// resident memory.
+static uint8_t *mapZeroed(uint64_t Bytes) {
+  if (Bytes == 0)
+    return nullptr;
+  void *P = ::mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (P == MAP_FAILED)
+    throw std::bad_alloc();
+  return static_cast<uint8_t *>(P);
+}
+
 Heap::Heap(const TypeTable &Types, Config Cfg)
-    : Types(Types), Cfg(Cfg), Storage(Cfg.HeapBytes),
-      StaticsStorage(Cfg.StaticsBytes) {
+    : Types(Types), Cfg(Cfg) {
   assert(Cfg.StaticsBase + Cfg.StaticsBytes <= Cfg.HeapBase &&
          "statics area must not overlap the heap");
-}
-
-uint8_t *Heap::ptr(Addr A) {
-  if (A >= Cfg.HeapBase) {
-    assert(A - Cfg.HeapBase < Cfg.HeapBytes && "heap address out of range");
-    return Storage.data() + (A - Cfg.HeapBase);
+  Storage = mapZeroed(Cfg.HeapBytes);
+  try {
+    StaticsStorage = mapZeroed(Cfg.StaticsBytes);
+  } catch (...) {
+    if (Storage)
+      ::munmap(Storage, Cfg.HeapBytes);
+    throw;
   }
-  assert(A >= Cfg.StaticsBase && A - Cfg.StaticsBase < Cfg.StaticsBytes &&
-         "address in neither heap nor statics area");
-  return StaticsStorage.data() + (A - Cfg.StaticsBase);
 }
 
-const uint8_t *Heap::ptr(Addr A) const {
-  return const_cast<Heap *>(this)->ptr(A);
+Heap::~Heap() {
+  if (Storage)
+    ::munmap(Storage, Cfg.HeapBytes);
+  if (StaticsStorage)
+    ::munmap(StaticsStorage, Cfg.StaticsBytes);
 }
 
 void Heap::formatFiller(Addr A, uint64_t Size) {
@@ -122,26 +139,6 @@ Addr Heap::allocStatic(ir::Type Ty) {
   if (Ty == ir::Type::Ref)
     StaticRefSlots.push_back(A);
   return A;
-}
-
-uint64_t Heap::load(Addr A, ir::Type Ty) const {
-  if (Ty == ir::Type::I32) {
-    int32_t V;
-    std::memcpy(&V, ptr(A), 4);
-    return static_cast<uint64_t>(static_cast<int64_t>(V));
-  }
-  uint64_t V;
-  std::memcpy(&V, ptr(A), 8);
-  return V;
-}
-
-void Heap::store(Addr A, ir::Type Ty, uint64_t Raw) {
-  if (Ty == ir::Type::I32) {
-    int32_t V = static_cast<int32_t>(Raw);
-    std::memcpy(ptr(A), &V, 4);
-    return;
-  }
-  std::memcpy(ptr(A), &Raw, 8);
 }
 
 bool Heap::isArray(Addr Obj) const {

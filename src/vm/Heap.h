@@ -14,6 +14,7 @@
 
 #include "vm/TypeTable.h"
 
+#include <cassert>
 #include <cstring>
 #include <vector>
 
@@ -43,6 +44,7 @@ public:
   using Config = HeapConfig;
 
   explicit Heap(const TypeTable &Types, Config Cfg = Config());
+  ~Heap();
 
   Heap(const Heap &) = delete;
   Heap &operator=(const Heap &) = delete;
@@ -64,10 +66,26 @@ public:
 
   /// Loads the raw 64-bit slot value at \p A of type \p Ty (i32 values are
   /// sign-extended).
-  uint64_t load(Addr A, ir::Type Ty) const;
+  uint64_t load(Addr A, ir::Type Ty) const {
+    if (Ty == ir::Type::I32) {
+      int32_t V;
+      std::memcpy(&V, ptr(A), 4);
+      return static_cast<uint64_t>(static_cast<int64_t>(V));
+    }
+    uint64_t V;
+    std::memcpy(&V, ptr(A), 8);
+    return V;
+  }
 
   /// Stores \p Raw at \p A as a value of type \p Ty.
-  void store(Addr A, ir::Type Ty, uint64_t Raw);
+  void store(Addr A, ir::Type Ty, uint64_t Raw) {
+    if (Ty == ir::Type::I32) {
+      int32_t V = static_cast<int32_t>(Raw);
+      std::memcpy(ptr(A), &V, 4);
+      return;
+    }
+    std::memcpy(ptr(A), &Raw, 8);
+  }
 
   // -- Header access -------------------------------------------------------
 
@@ -161,16 +179,26 @@ private:
   /// sliver), so a block is only taken when the cut is clean.
   Addr allocFromFreeList(uint64_t Size);
 
-  uint8_t *ptr(Addr A);
-  const uint8_t *ptr(Addr A) const;
+  uint8_t *ptr(Addr A) const {
+    if (A >= Cfg.HeapBase) {
+      assert(A - Cfg.HeapBase < Cfg.HeapBytes && "heap address out of range");
+      return Storage + (A - Cfg.HeapBase);
+    }
+    assert(A >= Cfg.StaticsBase && A - Cfg.StaticsBase < Cfg.StaticsBytes &&
+           "address in neither heap nor statics area");
+    return StaticsStorage + (A - Cfg.StaticsBase);
+  }
 
   /// Resets the allocation frontier (compaction support).
   void setTop(uint64_t NewTop) { Top = NewTop; }
 
   const TypeTable &Types;
   Config Cfg;
-  std::vector<uint8_t> Storage;
-  std::vector<uint8_t> StaticsStorage;
+  /// Heap and statics backing: private anonymous mappings, committed page
+  /// by page on first touch (never zero-filled up front). Only
+  /// [heapBase, heapTop) is ever walked.
+  uint8_t *Storage = nullptr;
+  uint8_t *StaticsStorage = nullptr;
   uint64_t Top = 0;
   uint64_t StaticsTop = 0;
   uint64_t NumAllocs = 0;

@@ -186,6 +186,18 @@ TEST(EnvFailFastDeathTest, NegativeSpfCellTimeoutExitsWithConfigError) {
               "invalid SPF_CELL_TIMEOUT");
 }
 
+TEST(EnvFailFastDeathTest, NonPositiveStrictMinimumExitsWithConfigError) {
+  for (const char *Bad : {"abc", "0", "-1", "1.0x"}) {
+    ScopedEnv E("SPF_SCALE", Bad);
+    EXPECT_EXIT(support::envDouble("SPF_SCALE", 1.0, 0.0, true),
+                ::testing::ExitedWithCode(support::ConfigErrorExit),
+                "invalid SPF_SCALE")
+        << Bad;
+  }
+  ScopedEnv E("SPF_SCALE", "0.05");
+  EXPECT_DOUBLE_EQ(support::envDouble("SPF_SCALE", 1.0, 0.0, true), 0.05);
+}
+
 TEST(EnvFailFastDeathTest, MalformedSpfCellMemMbExitsWithConfigError) {
   ScopedEnv E("SPF_CELL_MEM_MB", "-64");
   EXPECT_EXIT(support::envU64("SPF_CELL_MEM_MB", 0),

@@ -1,12 +1,24 @@
 //===- tests/interp_test.cpp - IR execution engine ------------------------===//
 
+#include "TestKernels.h"
+#include "analysis/LoopInfo.h"
+#include "core/ObjectInspector.h"
+#include "core/PrefetchCodeGen.h"
 #include "exec/Interpreter.h"
 #include "ir/IRBuilder.h"
-#include "sim/MemorySystem.h"
+#include "ir/Semantics.h"
 #include "ir/Verifier.h"
+#include "jit/CompileManager.h"
+#include "opt/ConstantFolding.h"
+#include "sim/CountingSink.h"
+#include "sim/MemorySystem.h"
+#include "support/Status.h"
 #include "workloads/KernelBuilder.h"
+#include "workloads/Runner.h"
 
 #include <gtest/gtest.h>
+
+#include <climits>
 
 using namespace spf;
 using namespace spf::ir;
@@ -243,6 +255,303 @@ TEST_F(InterpTest, RetiredCountsExcludePhis) {
   // entry jump, the final cmp + br, and ret: 5*5 + 1 + 2 + 1 = 29. Phis
   // retire nothing.
   EXPECT_EQ(Retired, 29u);
+}
+
+// -- Java-exact arithmetic: engine, folder and inspector agree ------------
+
+struct SemCase {
+  const char *Name;
+  BinaryInst::BinOp Op;
+  Type Ty;
+  int64_t L, R, Expected;
+};
+
+// The three defects the shared semantics fixed (i64 MIN / -1 and MIN % -1
+// raised SIGFPE, i32 shifts masked by 63, signed overflow was UB), plus
+// their neighbours.
+const SemCase SemCases[] = {
+    {"div i64 MIN,-1", BinaryInst::BinOp::Div, Type::I64, INT64_MIN, -1,
+     INT64_MIN},
+    {"rem i64 MIN,-1", BinaryInst::BinOp::Rem, Type::I64, INT64_MIN, -1, 0},
+    {"div i32 MIN,-1", BinaryInst::BinOp::Div, Type::I32, INT32_MIN, -1,
+     INT32_MIN},
+    {"rem i32 MIN,-1", BinaryInst::BinOp::Rem, Type::I32, INT32_MIN, -1, 0},
+    {"shl i32 1,33", BinaryInst::BinOp::Shl, Type::I32, 1, 33, 2},
+    {"shr i32 -8,33", BinaryInst::BinOp::Shr, Type::I32, -8, 33, -4},
+    {"shl i64 1,65", BinaryInst::BinOp::Shl, Type::I64, 1, 65, 2},
+    {"add i64 MAX,1", BinaryInst::BinOp::Add, Type::I64, INT64_MAX, 1,
+     INT64_MIN},
+    {"sub i64 MIN,1", BinaryInst::BinOp::Sub, Type::I64, INT64_MIN, 1,
+     INT64_MAX},
+    {"mul i64 2^62,4", BinaryInst::BinOp::Mul, Type::I64, int64_t(1) << 62, 4,
+     0},
+    {"add i32 MAX,1", BinaryInst::BinOp::Add, Type::I32, INT32_MAX, 1,
+     INT32_MIN},
+    {"mul i32 MIN,-1", BinaryInst::BinOp::Mul, Type::I32, INT32_MIN, -1,
+     INT32_MIN},
+};
+
+/// The value the constant folder leaves in `ret op(L, R)`.
+std::optional<uint64_t> foldedValue(const SemCase &C) {
+  Module M;
+  Method *Fn = M.addMethod("fold", C.Ty, {});
+  IRBuilder B(M);
+  B.setInsertPoint(Fn->addBlock("entry"));
+  B.ret(B.binary(C.Op, M.intConst(C.Ty, C.L), M.intConst(C.Ty, C.R)));
+  opt::foldConstants(Fn);
+  auto *Ret = cast<RetInst>(Fn->entry()->terminator());
+  if (auto *K = dyn_cast<Constant>(Ret->value()))
+    return K->raw();
+  return std::nullopt;
+}
+
+/// The value the object inspector computes for op(L, R): the method loads
+/// arr[op(L, R) == Expected] in its loop, so the recorded address says
+/// whether the inspector's known-value path produced the expected result.
+bool inspectorAgrees(const SemCase &C) {
+  vm::TypeTable Types;
+  vm::Heap Heap(Types, [] {
+    vm::HeapConfig HC;
+    HC.HeapBytes = 1 << 16;
+    return HC;
+  }());
+  vm::Addr Arr = Heap.allocArray(Type::I32, 4);
+
+  Module M;
+  Method *Fn = M.addMethod("insp", Type::I32, {Type::Ref, C.Ty, C.Ty});
+  IRBuilder B(M);
+  B.setInsertPoint(Fn->addBlock("entry"));
+  workloads::LoopNest L(B, "i");
+  PhiInst *I = L.civ(B.i32(0));
+  L.beginBody(B.cmpLt(I, B.i32(4)));
+  Value *Res = B.binary(C.Op, Fn->arg(1), Fn->arg(2));
+  Value *Hit = B.cmpEq(Res, M.intConst(C.Ty, C.Expected));
+  auto *Load = cast<Instruction>(B.aload(Fn->arg(0), Hit, Type::I32));
+  L.close();
+  B.ret(B.i32(0));
+
+  Fn->recomputePreds();
+  analysis::DominatorTree DT(Fn);
+  analysis::LoopInfo LI(Fn, DT);
+  analysis::Loop *Target = LI.topLevelLoops()[0];
+  core::LoadDependenceGraph G(Target, LI);
+  core::ObjectInspector Insp(Heap, LI);
+  core::InspectionResult R = Insp.inspect(
+      Fn, {Arr, static_cast<uint64_t>(C.L), static_cast<uint64_t>(C.R)},
+      Target, G);
+  auto It = R.Trace.find(Load);
+  return It != R.Trace.end() && !It->second.empty() &&
+         It->second.front().Address == Arr + vm::ObjectHeaderSize + 4;
+}
+
+TEST_F(InterpTest, JavaArithmeticAgreesAcrossEngineFolderAndInspector) {
+  for (const SemCase &C : SemCases) {
+    SCOPED_TRACE(C.Name);
+    uint64_t Want = C.Ty == Type::I32 ? ir::sem::sext32(C.Expected)
+                                      : static_cast<uint64_t>(C.Expected);
+    uint64_t L = static_cast<uint64_t>(C.L), R = static_cast<uint64_t>(C.R);
+
+    EXPECT_EQ(ir::sem::evalBinary(C.Op, C.Ty, L, R), Want);
+
+    Method *Fn = M.addMethod(std::string("sem.") + C.Name, C.Ty, {C.Ty, C.Ty});
+    IRBuilder B(M);
+    B.setInsertPoint(Fn->addBlock("entry"));
+    B.ret(B.binary(C.Op, Fn->arg(0), Fn->arg(1)));
+    EXPECT_EQ(run(Fn, {L, R}), Want);
+
+    EXPECT_EQ(foldedValue(C), Want);
+    EXPECT_TRUE(inspectorAgrees(C));
+  }
+}
+
+TEST_F(InterpTest, OnlyAZeroDivisorTraps) {
+  Method *Fn = M.addMethod("divz", Type::I64, {Type::I64, Type::I64});
+  IRBuilder B(M);
+  B.setInsertPoint(Fn->addBlock("entry"));
+  B.ret(B.rem(Fn->arg(0), Fn->arg(1)));
+  EXPECT_THROW(run(Fn, {7, 0}), support::RuntimeTrap);
+  EXPECT_EQ(ir::sem::evalBinary(BinaryInst::BinOp::Div, Type::I32, 7, 0),
+            std::nullopt);
+  // The folder leaves a zero divisor for the runtime to trap on.
+  EXPECT_EQ(foldedValue({"div 7,0", BinaryInst::BinOp::Div, Type::I32, 7, 0,
+                         0}),
+            std::nullopt);
+}
+
+TEST_F(InterpTest, F64ToI32FollowsJava) {
+  auto D2I = [](double D) {
+    return static_cast<int64_t>(ir::sem::evalConv(
+        ConvInst::ConvOp::FToI, ir::sem::f64Bits(D)));
+  };
+  EXPECT_EQ(D2I(-2.9), -2);
+  EXPECT_EQ(D2I(1e12), INT32_MAX);
+  EXPECT_EQ(D2I(-1e12), INT32_MIN);
+  EXPECT_EQ(D2I(std::nan("")), 0);
+}
+
+// -- The decoded engine ---------------------------------------------------
+
+TEST_F(InterpTest, PhiSwapAcrossBackEdgeIsParallel) {
+  Method *Fn = M.addMethod("swap", Type::I32, {Type::I32});
+  IRBuilder B(M);
+  B.setInsertPoint(Fn->addBlock("entry"));
+  workloads::LoopNest L(B, "i");
+  PhiInst *I = L.civ(B.i32(0));
+  PhiInst *A = L.addCarried(B.i32(1));
+  PhiInst *Bv = L.addCarried(B.i32(2));
+  L.beginBody(B.cmpLt(I, Fn->arg(0)));
+  L.setNext(A, Bv); // a = phi(b), b = phi(a): a swap every iteration.
+  L.setNext(Bv, A);
+  L.close();
+  B.ret(B.add(B.mul(A, B.i32(10)), Bv));
+  EXPECT_EQ(run(Fn, {0}), 12u);
+  EXPECT_EQ(run(Fn, {1}), 21u);
+  EXPECT_EQ(run(Fn, {3}), 21u);
+  EXPECT_EQ(run(Fn, {4}), 12u);
+}
+
+TEST_F(InterpTest, MixedModeHookRewriteIsRedecodedAndSitesSurvive) {
+  auto *Cls = Types.addClass("Box");
+  const vm::FieldDesc *FV = Types.addField(Cls, "v", Type::I32);
+  Method *Fn = M.addMethod("get", Type::I32, {Type::Ref});
+  IRBuilder B(M);
+  B.setInsertPoint(Fn->addBlock("entry"));
+  auto *Add =
+      cast<Instruction>(B.add(B.getField(Fn->arg(0), FV), B.i32(1)));
+  B.ret(Add);
+
+  vm::Addr Obj = Heap.allocObject(*Cls);
+  Heap.store(Obj + FV->Offset, Type::I32, 40);
+  Interp.enableMixedMode(
+      [&](Method *Hot, const std::vector<uint64_t> &) {
+        ASSERT_EQ(Hot, Fn);
+        Add->setOperand(1, M.intConst(Type::I32, 2)); // "Compiled" code.
+      },
+      /*Threshold=*/2);
+
+  EXPECT_EQ(run(Fn, {Obj}), 41u); // Interpreted, decoded form #1.
+  EXPECT_EQ(run(Fn, {Obj}), 42u); // Hook fires at entry: re-decoded.
+  EXPECT_TRUE(Interp.isCompiled(Fn));
+  EXPECT_EQ(run(Fn, {Obj}), 42u);
+  // The load kept its first-execution SiteId through the re-decode.
+  EXPECT_EQ(Interp.loadSiteCount(), 1u);
+  ASSERT_EQ(Mem.siteStats().size(), 1u);
+  EXPECT_EQ(Mem.siteStats()[0].Loads, 3u);
+}
+
+TEST(InterpEngineTest, StripAndReJitRedecodesAndSurvivingLoadsKeepSites) {
+  testkernels::JessWorld W;
+  jit::CompileManager::Options Opts;
+  Opts.Pass = workloads::passOptionsFor(
+      *sim::MachineConfig::byName("pentium4"), core::PrefetchMode::InterIntra);
+  jit::CompileManager Jit(*W.Heap, Opts);
+  Jit.compile(W.Find, W.findArgs());
+  ASSERT_GT(Jit.aggregatePrefetch().CodeGen.SpecLoads, 0u);
+
+  sim::MemorySystem Mem(*sim::MachineConfig::byName("pentium4"));
+  Mem.enablePrefetchHealth();
+  exec::Interpreter Interp(*W.Heap, Mem);
+  Interp.enablePrefetchGovernance();
+  uint64_t R1 = Interp.run(W.Find, W.findArgs());
+  unsigned Sites = Interp.loadSiteCount();
+  std::vector<sim::SiteStats> First = Mem.siteStats();
+  uint64_t Prefetching = Interp.stats().PrefetchRelated;
+  ASSERT_GT(Prefetching, 0u);
+
+  // Strip the prefetch code: the next run must execute none of it.
+  core::CodeGenStats Stripped = core::stripPrefetchCode(*W.Find);
+  ASSERT_GT(Stripped.SpecLoads, 0u);
+  Interp.invalidateMethodInfo();
+  EXPECT_EQ(Interp.run(W.Find, W.findArgs()), R1);
+  EXPECT_EQ(Interp.stats().PrefetchRelated, Prefetching);
+
+  // The governor's re-inspection path: re-JIT, invalidate, run again.
+  Jit.compile(W.Find, W.findArgs());
+  Interp.invalidateMethodInfo();
+  EXPECT_EQ(Interp.run(W.Find, W.findArgs()), R1);
+  EXPECT_EQ(Interp.stats().PrefetchRelated, 2 * Prefetching);
+
+  // Every demand load kept its site across both rewrites: no new sites,
+  // and each site's load count exactly tripled.
+  EXPECT_EQ(Interp.loadSiteCount(), Sites);
+  ASSERT_EQ(Mem.siteStats().size(), First.size());
+  for (size_t S = 0; S != First.size(); ++S)
+    EXPECT_EQ(Mem.siteStats()[S].Loads, 3 * First[S].Loads) << "site " << S;
+}
+
+TEST_F(InterpTest, GcInDeepCallChainUpdatesEveryFrame) {
+  auto *Cls = Types.addClass("Node");
+  const vm::FieldDesc *FV = Types.addField(Cls, "v", Type::I32);
+  auto *Blob = Types.addClass("Blob");
+  for (int I = 0; I < 30; ++I)
+    Types.addField(Blob, "f" + std::to_string(I), Type::I64);
+
+  // churn(n): allocate n blobs of garbage.
+  Method *Churn = M.addMethod("churn", Type::I32, {Type::I32});
+  IRBuilder B(M);
+  B.setInsertPoint(Churn->addBlock("entry"));
+  {
+    workloads::LoopNest L(B, "i");
+    PhiInst *I = L.civ(B.i32(0));
+    L.beginBody(B.cmpLt(I, Churn->arg(0)));
+    B.newObject(Blob);
+    L.close();
+    B.ret(B.i32(0));
+  }
+
+  // deep(d): garbage first, then a kept node holding d; recurse to the
+  // bottom, churn there, and sum every frame's node on the way back. Each
+  // frame's node is live only through its register slot.
+  Method *Deep = M.addMethod("deep", Type::I32, {Type::I32});
+  BasicBlock *Entry = Deep->addBlock("entry");
+  BasicBlock *Bottom = Deep->addBlock("bottom");
+  BasicBlock *Rec = Deep->addBlock("rec");
+  B.setInsertPoint(Entry);
+  B.newObject(Blob);
+  Value *Node = B.newObject(Cls);
+  B.putField(Node, FV, Deep->arg(0));
+  B.br(B.cmpEq(Deep->arg(0), B.i32(0)), Bottom, Rec);
+  B.setInsertPoint(Bottom);
+  B.call(Churn, Type::I32, {B.i32(4000)});
+  B.ret(B.getField(Node, FV));
+  B.setInsertPoint(Rec);
+  Value *Sub = B.call(Deep, Type::I32, {B.sub(Deep->arg(0), B.i32(1))});
+  B.ret(B.add(Sub, B.getField(Node, FV)));
+
+  // 400 frames grow the register stack several times before the bottom
+  // churns ~1 MB through the 1 MB heap.
+  EXPECT_EQ(run(Deep, {400}), 400u * 401 / 2);
+  EXPECT_GT(Interp.stats().GcRuns, 0u);
+}
+
+TEST(InterpEngineTest, TrapMidBlockStillDeliversEarlierEvents) {
+  vm::TypeTable Types;
+  auto *Cls = Types.addClass("Pair");
+  const vm::FieldDesc *FA = Types.addField(Cls, "a", Type::I32);
+  const vm::FieldDesc *FN = Types.addField(Cls, "next", Type::Ref);
+  vm::HeapConfig HC;
+  HC.HeapBytes = 1 << 16;
+  vm::Heap Heap(Types, HC);
+  Module M;
+  Method *Fn = M.addMethod("npe", Type::I32, {Type::Ref});
+  IRBuilder B(M);
+  B.setInsertPoint(Fn->addBlock("entry"));
+  Value *A = B.getField(Fn->arg(0), FA);
+  Value *A2 = B.add(A, B.getField(Fn->arg(0), FA));
+  B.putField(Fn->arg(0), FA, A2);
+  Value *Next = B.getField(Fn->arg(0), FN); // null
+  B.ret(B.getField(Next, FA));              // traps
+
+  vm::Addr Obj = Heap.allocObject(*Cls);
+  sim::CountingSink Counts;
+  exec::Interpreter Interp(Heap, Counts);
+  EXPECT_THROW(Interp.run(Fn, {Obj}), support::RuntimeTrap);
+  // Three loads, one store and the add's tick reached the sink although
+  // the block never filled and run() never returned normally.
+  EXPECT_EQ(Counts.Loads, 3u);
+  EXPECT_EQ(Counts.Stores, 1u);
+  EXPECT_EQ(Counts.TicksTotal, 1u);
+  EXPECT_EQ(Interp.stats().Retired, 6u);
 }
 
 } // namespace
