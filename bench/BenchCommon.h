@@ -8,9 +8,11 @@
 ///
 /// The problem scale can be reduced for quick runs with SPF_SCALE (e.g.
 /// SPF_SCALE=0.1 ./fig6_speedup_p4); the recorded EXPERIMENTS.md numbers
-/// use the default 1.0. Worker count comes from --jobs N (or SPF_JOBS;
-/// default: hardware concurrency). Any workload self-check failure or
-/// baseline-vs-prefetch result mismatch makes the binary exit nonzero.
+/// use the default 1.0. Every flag a binary accepts is a row of one
+/// declarative table (support/Flags.h): the shared rows below plus the
+/// ones its main() passes to init(). `BINARY --help` prints them; a bad
+/// flag or value exits 2 before any cell runs. Any workload self-check
+/// failure or baseline-vs-prefetch result mismatch exits 1.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +29,7 @@
 #include "obs/Tracer.h"
 #include "support/Env.h"
 #include "support/FaultInjection.h"
+#include "support/Flags.h"
 #include "support/Process.h"
 #include "support/Shutdown.h"
 #include "workloads/Runner.h"
@@ -53,86 +56,53 @@ inline workloads::WorkloadConfig benchConfig() {
   return Cfg;
 }
 
-/// Resolves a machine by registry name (sim::MachineConfig::byName) or
-/// exits with ConfigErrorExit (2) listing the known names.
-inline sim::MachineConfig machineByNameOrExit(const std::string &Name) {
-  if (std::optional<sim::MachineConfig> M = sim::MachineConfig::byName(Name))
-    return *M;
-  std::string Known;
-  for (const std::string &N : sim::MachineConfig::knownNames()) {
-    if (!Known.empty())
-      Known += ", ";
-    Known += N;
+/// Machine-selection rows (bench/sweep). --machine and --machine-file
+/// append to Selected in flag order; the caller applies --hw-prefetch to
+/// every planned machine, wherever it appears on the command line.
+struct MachineFlags {
+  std::vector<sim::MachineConfig> Selected;
+  std::optional<sim::HwPrefetchKind> HwPrefetch;
+
+  support::FlagTable flags() {
+    auto ByName = [this](const std::string &V) -> std::string {
+      if (std::optional<sim::MachineConfig> M = sim::MachineConfig::byName(V)) {
+        Selected.push_back(*M);
+        return "";
+      }
+      std::string Known;
+      for (const std::string &N : sim::MachineConfig::knownNames())
+        Known += (Known.empty() ? "" : ", ") + N;
+      return "unknown machine; known names: " + Known;
+    };
+    auto FromFile = [this](const std::string &V) -> std::string {
+      std::string Error;
+      std::optional<sim::MachineConfig> M =
+          sim::MachineConfig::fromFile(V, &Error);
+      if (!M)
+        return Error;
+      Selected.push_back(*M);
+      return "";
+    };
+    auto Hw = [this](const std::string &V) -> std::string {
+      HwPrefetch = sim::parseHwPrefetchKind(V);
+      return HwPrefetch ? "" : "expected none|stream|rpt";
+    };
+    return {{"--machine", "NAME",
+             "prefetch-source sweep on a registry machine (pentium4, "
+             "athlonmp, modern3l or an alias)",
+             ByName, nullptr, true},
+            {"--machine-file", "FILE",
+             "the same for a JSON machine file (machines/*.json)", FromFile,
+             nullptr, true},
+            {"--hw-prefetch", "KIND",
+             "override every planned machine's hardware prefetcher: "
+             "none|stream|rpt",
+             Hw}};
   }
-  support::envConfigError("--machine", Name.c_str(),
-                          "unknown machine; known names: " + Known);
-}
+};
 
-/// Loads and validates a machine file (machines/*.json schema, see
-/// DESIGN.md) or exits with ConfigErrorExit carrying the diagnostic.
-inline sim::MachineConfig machineFromFileOrExit(const std::string &Path) {
-  std::string Error;
-  if (std::optional<sim::MachineConfig> M =
-          sim::MachineConfig::fromFile(Path, &Error))
-    return *M;
-  support::envConfigError("--machine-file", Path.c_str(), Error);
-}
-
-/// Machine-selection flags shared by benches that support them:
-///   --machine NAME       a builtin from the registry (repeatable;
-///                        aliases like "p4"/"athlon"/"modern" work)
-///   --machine-file FILE  a JSON machine description (repeatable)
-///   --hw-prefetch KIND   override the hardware prefetcher of every
-///                        selected machine: none | stream | rpt
-/// Returns the selected machines in flag order; empty when no machine
-/// flag was given, in which case callers use their default plan (the
-/// --hw-prefetch override still applies to it via \p HwOverride).
-inline std::vector<sim::MachineConfig>
-machinesFromArgs(int argc, char **argv,
-                 std::optional<sim::HwPrefetchKind> *HwOverride = nullptr) {
-  std::vector<sim::MachineConfig> Machines;
-  std::optional<sim::HwPrefetchKind> Kind;
-  auto ParseKind = [](const std::string &V) {
-    std::optional<sim::HwPrefetchKind> K = sim::parseHwPrefetchKind(V);
-    if (!K)
-      support::envConfigError("--hw-prefetch", V.c_str(),
-                              "expected none|stream|rpt");
-    return *K;
-  };
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    if (A == "--machine" && I + 1 < argc)
-      Machines.push_back(machineByNameOrExit(argv[++I]));
-    else if (A.rfind("--machine=", 0) == 0)
-      Machines.push_back(machineByNameOrExit(A.substr(10)));
-    else if (A == "--machine-file" && I + 1 < argc)
-      Machines.push_back(machineFromFileOrExit(argv[++I]));
-    else if (A.rfind("--machine-file=", 0) == 0)
-      Machines.push_back(machineFromFileOrExit(A.substr(15)));
-    else if (A == "--hw-prefetch" && I + 1 < argc)
-      Kind = ParseKind(argv[++I]);
-    else if (A.rfind("--hw-prefetch=", 0) == 0)
-      Kind = ParseKind(A.substr(14));
-  }
-  if (Kind)
-    for (sim::MachineConfig &M : Machines)
-      M.HwPrefetch = *Kind;
-  if (HwOverride)
-    *HwOverride = Kind;
-  return Machines;
-}
-
-/// Epoch / GC-variant / governor knobs shared by adaptation-aware
-/// benches (bench/adaptation, bench/sweep):
-///   --epochs N            epochs per run, >= 1 (or SPF_EPOCHS)
-///   --gc-variant NAME     sliding-compact | mark-sweep | address-shuffle |
-///                         promotion-order (or SPF_GC_VARIANT)
-///   --governor on|off     online prefetch-health governor (or
-///                         SPF_GOVERNOR=on|off)
-///   --phase-change        shuffle ref arrays at the midpoint boundary
-///                         (or SPF_PHASE_CHANGE=1)
-/// Invalid values exit with support::ConfigErrorExit (2) before any cell
-/// runs.
+/// Epoch / GC-variant / governor rows shared by adaptation-aware benches
+/// (bench/adaptation, bench/sweep).
 struct AdaptationKnobs {
   unsigned Epochs = 1;
   vm::GcVariant GcVariant = vm::GcVariant::SlidingCompact;
@@ -145,60 +115,33 @@ struct AdaptationKnobs {
     Opt.Governor = Governor;
     Opt.PhaseChange = PhaseChange;
   }
-};
 
-inline AdaptationKnobs adaptationFromArgs(int argc, char **argv) {
-  AdaptationKnobs K;
-  auto ParseEpochs = [](const char *Flag, const std::string &V) {
-    char *End = nullptr;
-    long N = std::strtol(V.c_str(), &End, 10);
-    if (!End || *End != '\0' || N < 1 || N > 1000000)
-      support::envConfigError(Flag, V.c_str(),
-                              "expected an integer epoch count >= 1");
-    return static_cast<unsigned>(N);
-  };
-  auto ParseVariant = [](const char *Flag, const std::string &V) {
-    std::optional<vm::GcVariant> G = vm::parseGcVariant(V);
-    if (!G)
-      support::envConfigError(Flag, V.c_str(),
-                              "expected sliding-compact|mark-sweep|"
-                              "address-shuffle|promotion-order");
-    return *G;
-  };
-  auto ParseOnOff = [](const char *Flag, const std::string &V) {
-    if (V == "on" || V == "1" || V == "true")
-      return true;
-    if (V == "off" || V == "0" || V == "false")
-      return false;
-    support::envConfigError(Flag, V.c_str(), "expected on|off");
-  };
-  if (const char *E = std::getenv("SPF_EPOCHS"))
-    K.Epochs = ParseEpochs("SPF_EPOCHS", E);
-  if (const char *E = std::getenv("SPF_GC_VARIANT"))
-    K.GcVariant = ParseVariant("SPF_GC_VARIANT", E);
-  if (const char *E = std::getenv("SPF_GOVERNOR"))
-    K.Governor = ParseOnOff("SPF_GOVERNOR", E);
-  if (const char *E = std::getenv("SPF_PHASE_CHANGE"))
-    K.PhaseChange = ParseOnOff("SPF_PHASE_CHANGE", E);
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    if (A == "--epochs" && I + 1 < argc)
-      K.Epochs = ParseEpochs("--epochs", argv[++I]);
-    else if (A.rfind("--epochs=", 0) == 0)
-      K.Epochs = ParseEpochs("--epochs", A.substr(9));
-    else if (A == "--gc-variant" && I + 1 < argc)
-      K.GcVariant = ParseVariant("--gc-variant", argv[++I]);
-    else if (A.rfind("--gc-variant=", 0) == 0)
-      K.GcVariant = ParseVariant("--gc-variant", A.substr(13));
-    else if (A == "--governor" && I + 1 < argc)
-      K.Governor = ParseOnOff("--governor", argv[++I]);
-    else if (A.rfind("--governor=", 0) == 0)
-      K.Governor = ParseOnOff("--governor", A.substr(11));
-    else if (A == "--phase-change")
-      K.PhaseChange = true;
+  support::FlagTable flags() {
+    auto Variant = [this](const std::string &V) -> std::string {
+      std::optional<vm::GcVariant> G = vm::parseGcVariant(V);
+      if (!G)
+        return "expected sliding-compact|mark-sweep|address-shuffle|"
+               "promotion-order";
+      GcVariant = *G;
+      return "";
+    };
+    return {{"--epochs", "N",
+             "run each cell's entry method N times, a full GC at each "
+             "boundary; default 1",
+             support::setUInt(Epochs, 1, 1000000), "SPF_EPOCHS"},
+            {"--gc-variant", "KIND",
+             "boundary GC placement: sliding-compact (default), mark-sweep, "
+             "address-shuffle, promotion-order",
+             Variant, "SPF_GC_VARIANT"},
+            {"--governor", "on|off",
+             "online prefetch-health governor; governed cells never replay "
+             "traces",
+             support::setBool(Governor), "SPF_GOVERNOR"},
+            {"--phase-change", nullptr,
+             "shuffle every Ref array at the middle epoch boundary",
+             support::setBool(PhaseChange), "SPF_PHASE_CHANGE"}};
   }
-  return K;
-}
+};
 
 /// Number of correctness failures recorded so far in this binary.
 inline unsigned &failureCount() {
@@ -239,49 +182,6 @@ inline bool reportPlanFailures(const harness::ExperimentResult &Result) {
   for (const std::string &F : Result.Failures)
     reportFailure(F);
   return Result.ok();
-}
-
-/// Worker count: --jobs N / --jobs=N on the command line, else SPF_JOBS,
-/// else hardware concurrency.
-inline unsigned jobsFromArgs(int argc, char **argv) {
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    long V = -1;
-    if (A == "--jobs" && I + 1 < argc)
-      V = std::atol(argv[I + 1]);
-    else if (A.rfind("--jobs=", 0) == 0)
-      V = std::atol(A.c_str() + 7);
-    if (V > 0)
-      return static_cast<unsigned>(V);
-  }
-  return harness::defaultJobs();
-}
-
-/// Record-once / replay-many knobs from the command line:
-///   --no-trace-reuse      interpret every cell directly (A/B baseline)
-///   --trace-cache-mb N    in-memory trace budget in MB (0 disables;
-///                         default: SPF_TRACE_MB, then 256)
-///   --trace-dir DIR       spill evicted traces to DIR and reuse them
-///                         across runs
-inline harness::TraceOptions traceOptionsFromArgs(int argc, char **argv) {
-  harness::TraceOptions T;
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    double Mb = -1;
-    if (A == "--no-trace-reuse")
-      T.Enabled = false;
-    else if (A == "--trace-cache-mb" && I + 1 < argc)
-      Mb = std::atof(argv[I + 1]);
-    else if (A.rfind("--trace-cache-mb=", 0) == 0)
-      Mb = std::atof(A.c_str() + 17);
-    else if (A == "--trace-dir" && I + 1 < argc)
-      T.SpillDir = argv[I + 1];
-    else if (A.rfind("--trace-dir=", 0) == 0)
-      T.SpillDir = A.substr(12);
-    if (Mb >= 0)
-      T.BudgetBytes = static_cast<size_t>(Mb * 1024.0 * 1024.0);
-  }
-  return T;
 }
 
 /// Per-binary CLI state shared by every bench main: worker threads,
@@ -358,73 +258,96 @@ inline void flushObservability() {
   }
 }
 
-/// Parses the shared bench flags. Call first in every bench main:
-///   --jobs N            worker threads (or SPF_JOBS)
-///   --no-trace-reuse / --trace-cache-mb N / --trace-dir DIR
-///   --isolate           run every cell in a supervised worker process
-///   --cell-mem-mb N     RLIMIT_AS per worker in MiB (or SPF_CELL_MEM_MB)
-///   --journal FILE      append one fsync'd record per finished cell
-///   --resume            graft a previous journal instead of re-running
-///   --sweep-deadline S  stop admitting cells after S seconds and write
-///                       a partial `interrupted` report (exit code 3;
-///                       or SPF_SWEEP_DEADLINE_S)
-///   --cells-out FILE    stream one JSONL record per cell and keep only
-///                       O(jobs) cells resident (streaming aggregation)
-/// Also installs the SIGTERM/SIGINT graceful-shutdown handlers in
-/// supervisor processes (workers stay killable the default way), and
-/// recognizes the hidden worker protocol (--run-cell ...); a worker
-/// invocation is dispatched inside runPlanCli, never here.
-inline void init(int argc, char **argv) {
+/// The rows every plan binary accepts, bound to \p C, including the
+/// hidden worker protocol (harness::workerFlags).
+inline support::FlagTable sharedFlags(BenchCli &C) {
+  using namespace support;
+  auto NoReuse = [&C](const std::string &) {
+    C.Trace.Enabled = false;
+    return std::string();
+  };
+  auto TraceMb = [&C](const std::string &V) {
+    double Mb = 0;
+    std::string Why = parseDouble(V, Mb, 0.0, false, 1 << 20);
+    if (Why.empty())
+      C.Trace.BudgetBytes = static_cast<size_t>(Mb * 1024.0 * 1024.0);
+    return Why;
+  };
+  FlagTable T = {
+      {"--jobs", "N",
+       "worker threads (default: SPF_JOBS, then hardware concurrency)",
+       setUInt(C.Jobs, 1, harness::MaxJobs)},
+      {"--no-trace-reuse", nullptr,
+       "interpret every cell instead of replaying recorded traces", NoReuse},
+      {"--trace-cache-mb", "N",
+       "in-memory trace budget in MB, 0 disables (default: SPF_TRACE_MB, "
+       "then 256)",
+       TraceMb},
+      {"--trace-dir", "DIR", "spill evicted traces to DIR, reused across runs",
+       setString(C.Trace.SpillDir)},
+      {"--isolate", nullptr,
+       "run every cell in a supervised worker process under rlimits",
+       setBool(C.Isolate)},
+      {"--cell-mem-mb", "N",
+       "RLIMIT_AS per worker in MiB, 0 = none (default: SPF_CELL_MEM_MB)",
+       setUInt(C.CellMemMb, 0, UINT64_MAX >> 20)},
+      {"--journal", "FILE", "append one fsync'd record per finished cell",
+       setString(C.JournalPath)},
+      {"--resume", nullptr,
+       "graft the cells recorded in --journal and run only the rest",
+       setBool(C.Resume)},
+      {"--sweep-deadline", "S",
+       "stop admitting cells after S seconds and exit 3 with a partial "
+       "report; 0 = none (default: SPF_SWEEP_DEADLINE_S)",
+       setDouble(C.SweepDeadlineSec)},
+      {"--cells-out", "FILE",
+       "stream one JSONL record per cell, keeping O(jobs) cells resident",
+       setString(C.CellsOut)},
+      {"--profile-out", "FILE", "write a Chrome trace_event timeline",
+       setString(C.ProfileOut), "SPF_TRACE_OUT"},
+      {"--stats-out", "FILE", "write the harness stats as Prometheus text",
+       setString(C.StatsOut), "SPF_STATS_OUT"},
+      {"--decisions-out", "FILE", "write one JSON line per compile decision",
+       setString(C.DecisionsOut), "SPF_DECISIONS_OUT"},
+      {"--explain", nullptr, "print the per-cell compile-decision summary",
+       setBool(C.Explain)},
+      {"--timeline-every", "N",
+       "sample the cycle attribution every N memory events; 0 = off",
+       setUInt(C.TimelineEvery), "SPF_TIMELINE"}};
+  for (Flag &F : harness::workerFlags(C.Worker))
+    T.push_back(std::move(F));
+  return T;
+}
+
+/// Appended to every bench binary's usage text.
+inline constexpr const char *BenchEpilog =
+    "\nEnvironment (README.md): SPF_SCALE, SPF_JOBS, SPF_TRACE_MB, "
+    "SPF_TRACE_DIR_MB, SPF_TRACE_MMAP,\n  SPF_FAULTS, SPF_CELL_TIMEOUT, "
+    "SPF_CELL_MEM_MB, SPF_SWEEP_DEADLINE_S, SPF_SHUTDOWN_GRACE_S,\n  "
+    "SPF_NO_BACKOFF, SPF_OBS.\n"
+    "Exit status: 0 ok; 1 a self-check or contract failed; 2 bad "
+    "configuration;\n  3 interrupted, with a valid partial report.\n";
+
+/// Parses \p Local (the binary's own rows) plus sharedFlags() from argv
+/// in one pass; call first in every bench main. Also installs the
+/// SIGTERM/SIGINT graceful-shutdown handlers in supervisor processes
+/// (workers stay killable the default way). A worker invocation is
+/// dispatched inside runPlanCli, never here.
+inline void init(int argc, char **argv,
+                 std::initializer_list<support::FlagTable> Local = {}) {
   BenchCli &C = cli();
   C.Argc = argc;
   C.Argv = argv;
   C.SelfPath = support::selfExecutablePath(argv[0]);
-  C.Worker = harness::parseWorkerRequest(argc, argv);
-  C.Jobs = jobsFromArgs(argc, argv);
-  C.Trace = traceOptionsFromArgs(argc, argv);
   C.CellMemMb = harness::cellMemMbFromEnv();
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    if (A == "--isolate") {
-      C.Isolate = true;
-    } else if (A == "--cell-mem-mb" && I + 1 < argc) {
-      C.CellMemMb = static_cast<uint64_t>(std::atoll(argv[++I]));
-    } else if (A.rfind("--cell-mem-mb=", 0) == 0) {
-      C.CellMemMb = static_cast<uint64_t>(std::atoll(A.c_str() + 14));
-    } else if (A == "--journal" && I + 1 < argc) {
-      C.JournalPath = argv[++I];
-    } else if (A.rfind("--journal=", 0) == 0) {
-      C.JournalPath = A.substr(10);
-    } else if (A == "--resume") {
-      C.Resume = true;
-    } else if (A == "--sweep-deadline" && I + 1 < argc) {
-      C.SweepDeadlineSec = std::atof(argv[++I]);
-    } else if (A.rfind("--sweep-deadline=", 0) == 0) {
-      C.SweepDeadlineSec = std::atof(A.c_str() + 17);
-    } else if (A == "--cells-out" && I + 1 < argc) {
-      C.CellsOut = argv[++I];
-    } else if (A.rfind("--cells-out=", 0) == 0) {
-      C.CellsOut = A.substr(12);
-    } else if (A == "--profile-out" && I + 1 < argc) {
-      C.ProfileOut = argv[++I];
-    } else if (A.rfind("--profile-out=", 0) == 0) {
-      C.ProfileOut = A.substr(14);
-    } else if (A == "--stats-out" && I + 1 < argc) {
-      C.StatsOut = argv[++I];
-    } else if (A.rfind("--stats-out=", 0) == 0) {
-      C.StatsOut = A.substr(12);
-    } else if (A == "--decisions-out" && I + 1 < argc) {
-      C.DecisionsOut = argv[++I];
-    } else if (A.rfind("--decisions-out=", 0) == 0) {
-      C.DecisionsOut = A.substr(16);
-    } else if (A == "--timeline-every" && I + 1 < argc) {
-      C.TimelineEvery = static_cast<uint64_t>(std::atoll(argv[++I]));
-    } else if (A.rfind("--timeline-every=", 0) == 0) {
-      C.TimelineEvery = static_cast<uint64_t>(std::atoll(A.c_str() + 17));
-    } else if (A == "--explain") {
-      C.Explain = true;
-    }
-  }
+  support::FlagTable Table;
+  for (const support::FlagTable &T : Local)
+    Table.insert(Table.end(), T.begin(), T.end());
+  for (support::Flag &F : sharedFlags(C))
+    Table.push_back(std::move(F));
+  support::parseFlags(Table, argc, argv, BenchEpilog);
+  if (!C.Jobs)
+    C.Jobs = harness::defaultJobs();
   if (C.Resume && C.JournalPath.empty())
     support::envConfigError("--resume", "",
                             "--resume requires --journal FILE");
@@ -435,17 +358,6 @@ inline void init(int argc, char **argv) {
   // a group kill still takes them down instantly.
   if (!C.Worker)
     support::installShutdownHandlers();
-  if (C.ProfileOut.empty())
-    if (const char *E = std::getenv("SPF_TRACE_OUT"))
-      C.ProfileOut = E;
-  if (C.StatsOut.empty())
-    if (const char *E = std::getenv("SPF_STATS_OUT"))
-      C.StatsOut = E;
-  if (C.DecisionsOut.empty())
-    if (const char *E = std::getenv("SPF_DECISIONS_OUT"))
-      C.DecisionsOut = E;
-  if (!C.TimelineEvery)
-    C.TimelineEvery = support::envU64("SPF_TIMELINE", 0);
   // SPF_OBS=0 (or an -DSPF_OBSERVABILITY=OFF build) must produce
   // byte-identical reports: the timeline facet is an observability
   // feature, so it is hard-disabled along with the rest of obs.

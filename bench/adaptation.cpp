@@ -21,27 +21,9 @@
 ///   - a governed run must never be slower than the prefetch-disabled
 ///     floor (beyond a 2% tolerance).
 ///
-/// Usage:
-///   adaptation [--out FILE] [--workloads a,b,c] [--epochs N]
-///              [--min-recovered N] [--check-against FILE] [--jobs N]
-///
-///   --out FILE          JSON report path (default: BENCH_adaptation.json;
-///                       "-" for stdout). The committed copy at the repo
-///                       root is CI's regression baseline.
-///   --workloads CSV     workload subset (default: db,jack,MonteCarlo)
-///   --epochs N          epochs per cell, >= 2 (default 10; or SPF_EPOCHS)
-///   --min-recovered N   how many address-shuffle workloads must clear the
-///                       50% recovery bar (default 3, clamped to the
-///                       workload count)
-///   --check-against F   also load a previous report and fail (exit 1) if
-///                       any address-shuffle recovery fraction regressed
-///                       by more than 20 points of its baseline value —
-///                       the CI gate against the committed report
-///   SPF_SCALE=0.1       reduced problem scale, as for every bench binary
-///
-/// Exit code 1 on any self-check failure, contract violation, or
-/// --check-against regression; support::ConfigErrorExit (2) for invalid
-/// flags.
+/// `adaptation --help` lists every flag. Exit code 1 on any self-check
+/// failure, contract violation, or --check-against regression;
+/// support::ConfigErrorExit (2) for invalid flags.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -225,31 +207,27 @@ void checkAgainst(const std::string &Path, const std::string &ReportText) {
 } // namespace
 
 int main(int argc, char **argv) {
-  init(argc, argv);
   std::string OutPath = "BENCH_adaptation.json";
   std::string WorkloadCsv = "db,jack,MonteCarlo";
   std::string CheckPath;
   unsigned MinRecovered = 3;
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    if (A == "--out" && I + 1 < argc)
-      OutPath = argv[++I];
-    else if (A.rfind("--out=", 0) == 0)
-      OutPath = A.substr(6);
-    else if (A == "--workloads" && I + 1 < argc)
-      WorkloadCsv = argv[++I];
-    else if (A.rfind("--workloads=", 0) == 0)
-      WorkloadCsv = A.substr(12);
-    else if (A == "--check-against" && I + 1 < argc)
-      CheckPath = argv[++I];
-    else if (A.rfind("--check-against=", 0) == 0)
-      CheckPath = A.substr(16);
-    else if (A == "--min-recovered" && I + 1 < argc)
-      MinRecovered = static_cast<unsigned>(std::atoi(argv[++I]));
-    else if (A.rfind("--min-recovered=", 0) == 0)
-      MinRecovered = static_cast<unsigned>(std::atoi(A.c_str() + 16));
-  }
-  AdaptationKnobs Knobs = adaptationFromArgs(argc, argv);
+  AdaptationKnobs Knobs;
+  init(argc, argv,
+       {{{"--out", "FILE",
+          "JSON report path, \"-\" for stdout (default: "
+          "BENCH_adaptation.json)",
+          support::setString(OutPath)},
+         {"--workloads", "CSV", "workload subset (default: db,jack,MonteCarlo)",
+          support::setString(WorkloadCsv)},
+         {"--min-recovered", "N",
+          "address-shuffle workloads that must recover >= 50% (default 3, "
+          "clamped to [1, workloads])",
+          support::setUInt(MinRecovered)},
+         {"--check-against", "FILE",
+          "fail when a recovery fraction fell more than 0.20 below this "
+          "baseline report",
+          support::setString(CheckPath)}},
+        Knobs.flags()});
   // Adaptation needs epoch boundaries to act at; --epochs 1 (or the
   // default) means "use the bench default" here.
   unsigned Epochs = Knobs.Epochs > 1 ? Knobs.Epochs : 10;

@@ -41,7 +41,7 @@ RunResult runGreedy(const WorkloadSpec &Spec, unsigned &Emitted) {
     Emitted += R.Prefetches;
   }
 
-  sim::MemorySystem Mem(machineByNameOrExit("pentium4"));
+  sim::MemorySystem Mem(sim::MachineConfig::pentium4());
   exec::Interpreter Interp(*W.Heap, Mem, &W.Roots);
   RunResult Result;
   Result.ReturnValue = Interp.run(W.Entry, W.EntryArgs);
@@ -70,7 +70,7 @@ int main(int argc, char **argv) {
   for (const char *Name : Names)
     Specs.push_back(findWorkload(Name));
   Plan.addSweep(Specs, {Algorithm::Baseline, Algorithm::InterIntra},
-                {machineByNameOrExit("pentium4")}, benchConfig(),
+                {sim::MachineConfig::pentium4()}, benchConfig(),
                 "comparison:greedy");
   harness::ExperimentResult Result = runPlanCli(Plan);
   reportPlanFailures(Result);

@@ -22,7 +22,7 @@ int main(int argc, char **argv) {
   std::printf("%-12s %10s %12s\n", "benchmark", "BASELINE", "INTER+INTRA");
   std::printf("%-12s %10s %12s\n", "---------", "--------", "-----------");
 
-  auto Rows = runAll(machineByNameOrExit("pentium4"), /*WithInter=*/false);
+  auto Rows = runAll(sim::MachineConfig::pentium4(), /*WithInter=*/false);
   for (const WorkloadRuns &Row : Rows)
     std::printf("%-12s %10.5f %12.5f\n", Row.Spec->Name.c_str(),
                 workloads::perInstruction(Row.Base.Mem.DtlbLoadMisses,

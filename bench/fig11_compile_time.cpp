@@ -40,7 +40,7 @@ int main(int argc, char **argv) {
       harness::ExperimentCell Cell;
       Cell.Group = "fig11";
       Cell.Spec = &Spec;
-      Cell.Opt.Machine = machineByNameOrExit("pentium4");
+      Cell.Opt.Machine = sim::MachineConfig::pentium4();
       Cell.Opt.Algo = workloads::Algorithm::InterIntra;
       Cell.Opt.Config = benchConfig();
       Plan.add(std::move(Cell));

@@ -20,7 +20,7 @@ int main(int argc, char **argv) {
   std::printf("%-12s %10s %12s\n", "benchmark", "INTER", "INTER+INTRA");
   std::printf("%-12s %10s %12s\n", "---------", "-----", "-----------");
 
-  auto Rows = runAll(machineByNameOrExit("athlonmp"), /*WithInter=*/true);
+  auto Rows = runAll(sim::MachineConfig::athlonMP(), /*WithInter=*/true);
   for (const WorkloadRuns &Row : Rows)
     std::printf("%-12s %9.1f%% %11.1f%%\n", Row.Spec->Name.c_str(),
                 speedup(Row, Row.Inter), speedup(Row, Row.Intra));

@@ -21,7 +21,7 @@ int main(int argc, char **argv) {
   std::printf("%-12s %10s %12s %10s\n", "---------", "--------",
               "-----------", "--------");
 
-  auto Rows = runAll(machineByNameOrExit("pentium4"), /*WithInter=*/false);
+  auto Rows = runAll(sim::MachineConfig::pentium4(), /*WithInter=*/false);
   for (const WorkloadRuns &Row : Rows) {
     double BaseMpi = workloads::perInstruction(Row.Base.Mem.L1LoadMisses,
                                                Row.Base.Retired);

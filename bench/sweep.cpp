@@ -5,119 +5,17 @@
 /// worker pool, prints the paper-style tables, and writes a
 /// machine-readable JSON report (format: DESIGN.md, "JSON report").
 ///
-/// Usage:
-///   sweep [--jobs N] [--json FILE] [--workloads a,b,c]
-///         [--machine NAME] [--machine-file FILE] [--hw-prefetch KIND]
-///         [--epochs N] [--gc-variant KIND] [--governor on|off]
-///         [--phase-change]
-///         [--no-trace-reuse] [--trace-cache-mb N] [--trace-dir DIR]
-///         [--isolate] [--cell-mem-mb N] [--journal FILE] [--resume]
-///         [--profile-out FILE] [--stats-out FILE]
-///         [--decisions-out FILE] [--explain]
-///   sweep --throughput [--throughput-json FILE] [--throughput-secs S]
+/// --machine/--machine-file switch to a prefetch-source sweep
+/// (none/sw/hw/combined per workload) on the selected machines, and
+/// --throughput measures replay throughput instead of running the sweep.
 ///
-///   --jobs N          worker threads (default: SPF_JOBS, then hardware
-///                     concurrency); results are bit-identical for any N
-///   --json FILE       report path (default: sweep_report.json; "-" for
-///                     stdout)
-///   --workloads CSV   restrict to a comma-separated subset of Table 3
-///                     workload names
-///   --machine NAME    replace the default Pentium4+AthlonMP plan with a
-///                     prefetch-source sweep (none/sw/hw/combined per
-///                     workload) on the named registry machine
-///                     (pentium4, athlonmp, modern3l; repeatable)
-///   --machine-file F  same, for a machine described by a JSON file
-///                     (machines/*.json schema, see DESIGN.md; repeatable
-///                     and combinable with --machine)
-///   --hw-prefetch K   override the hardware prefetcher kind of every
-///                     selected machine (none | stream | rpt); with no
-///                     --machine/--machine-file it applies to the default
-///                     Pentium4+AthlonMP plan
-///   --epochs N        run every cell's entry method N times with a full
-///                     GC at each epoch boundary (default 1 = classic
-///                     single-shot run; or SPF_EPOCHS)
-///   --gc-variant K    GC perturbation variant at epoch boundaries:
-///                     sliding-compact (default) | mark-sweep |
-///                     address-shuffle | promotion-order (or
-///                     SPF_GC_VARIANT)
-///   --governor on|off enable the online prefetch-health governor, which
-///                     re-decides each prefetch site (keep / retune /
-///                     quarantine / re-inspect) at epoch boundaries;
-///                     governed cells never reuse recorded traces (or
-///                     SPF_GOVERNOR)
-///   --phase-change    shuffle every Ref array's element order at the
-///                     middle epoch boundary, breaking inspected stride
-///                     patterns mid-run (or SPF_PHASE_CHANGE=1)
-///   --no-trace-reuse  interpret every cell directly instead of replaying
-///                     recorded access traces (statistics are identical
-///                     either way; this is the A/B baseline CI diffs
-///                     against)
-///   --trace-cache-mb N  in-memory trace cache budget in MB (0 disables;
-///                     default: SPF_TRACE_MB, then 256)
-///   --trace-dir DIR   spill evicted traces to DIR; later runs replay
-///                     them across process boundaries
-///   --isolate         run every cell in a supervised worker process with
-///                     hard rlimits; crashes become per-cell quarantine
-///                     entries instead of killing the sweep (statistics
-///                     stay bit-identical to the in-process mode)
-///   --cell-mem-mb N   RLIMIT_AS per worker process in MiB (default:
-///                     SPF_CELL_MEM_MB; 0 = unlimited)
-///   --journal FILE    append one fsync'd JSON line per finished cell, so
-///                     a killed sweep can be resumed
-///   --resume          graft results recorded in --journal FILE and only
-///                     run the cells it is missing
-///   --sweep-deadline S  stop admitting cells after S seconds of wall
-///                     clock, finish/kill the in-flight ones against the
-///                     SPF_SHUTDOWN_GRACE_S window, and write a partial
-///                     report marked "interrupted" (exit code 3; with
-///                     --journal, --resume completes it byte-identically;
-///                     or SPF_SWEEP_DEADLINE_S)
-///   --cells-out FILE  stream one JSONL record per cell at in-order
-///                     retirement and fold per-cell site tables as they
-///                     retire, so peak resident cells is O(jobs) instead
-///                     of O(plan); the JSON report stays bit-identical
-///   --profile-out F   write a Chrome trace_event JSON timeline of the
-///                     whole sweep (open in chrome://tracing or
-///                     ui.perfetto.dev); under --isolate, worker
-///                     processes appear as their own lanes (or
-///                     SPF_TRACE_OUT)
-///   --stats-out F     write the harness counters/histograms in
-///                     Prometheus text format (or SPF_STATS_OUT)
-///   --decisions-out F write one JSON line per compile decision —
-///                     which strides inspection found, what the planner
-///                     pruned, why loops degraded (or SPF_DECISIONS_OUT)
-///   --explain         print the per-cell compile-decision summary
-///   --throughput      replay-throughput benchmark instead of the sweep:
-///                     records the standard plan's traces once, then
-///                     measures replay cells/sec and events/sec under
-///                     per-event dispatch (the pre-batching baseline),
-///                     batched consume() dispatch, and spill reload via
-///                     heap read vs zero-copy mmap — verifying along the
-///                     way that all modes produce bit-identical stats
-///   --throughput-json F  where to write the result JSON (default:
-///                     BENCH_sweep_throughput.json; the committed copy
-///                     at the repo root is CI's regression baseline)
-///   --throughput-secs S  minimum measured seconds per mode (default 1)
-///   SPF_OBS=0         disable all observability at run time; report
-///                     statistics are bit-identical either way
-///   SPF_SCALE=0.1     reduced problem scale, as for every bench binary
-///   SPF_TRACE_MB=N    default trace cache budget in MB
-///   SPF_TRACE_DIR_MB=N  byte budget for the --trace-dir spill directory
-///                     in MB; least-recently-used spill files are evicted
-///                     to stay under it (0 = unlimited)
-///   SPF_FAULTS=...    chaos mode: seeded fault injection (DESIGN.md,
-///                     "Failure model"); quarantined cells are reported
-///                     but injected transients do not fail the run —
-///                     fault injection also disables trace reuse
-///   SPF_CELL_TIMEOUT=S  per-cell wall-clock watchdog in seconds
-///   SPF_CELL_MEM_MB=N   default per-worker RLIMIT_AS in MiB
-///   SPF_NO_BACKOFF=1    disable the retry backoff delay (tests/CI)
-///
-/// Exit code is 1 when any workload self-check fails or prefetching
-/// changes a result, and 3 when the sweep was interrupted (SIGTERM,
+/// `sweep --help` lists every flag (the rows in main() plus the shared
+/// ones in BenchCommon.h) and the environment knobs. Exit status is 1
+/// when any workload self-check fails or prefetching changes a result, 2
+/// on bad configuration, and 3 when the sweep was interrupted (SIGTERM,
 /// SIGINT, or --sweep-deadline) but wrote a valid partial report. The
-/// undocumented --inject-self-check-failure flag adds a deliberately
-/// failing cell so CI can regression-test the nonzero-exit path.
+/// hidden --inject-self-check-failure flag adds a deliberately failing
+/// cell so CI can regression-test the nonzero-exit path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -245,7 +143,7 @@ void printModeTable(const sim::MachineConfig &M,
                     const std::vector<harness::PrefetchSources> &Modes,
                     const harness::ExperimentResult &Result,
                     unsigned First) {
-  std::printf("\nPrefetch sources on %s (%zu levels, hw prefetcher: %s, "
+  std::printf("\nPrefetch sources on %s (%u levels, hw prefetcher: %s, "
               "tlb: %s): cycles [speedup vs none]\n",
               M.Name.c_str(), M.numLevels(),
               sim::hwPrefetchKindName(M.HwPrefetch), sim::tlbWalkName(M.Walk));
@@ -528,46 +426,46 @@ int runThroughput(const std::vector<const WorkloadSpec *> &Specs,
 } // namespace
 
 int main(int argc, char **argv) {
-  init(argc, argv);
   std::string JsonPath = "sweep_report.json";
   std::string WorkloadCsv;
   bool InjectFailure = false;
   bool Throughput = false;
   std::string ThroughputJson = "BENCH_sweep_throughput.json";
   double ThroughputSecs = 1.0;
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    if (A == "--json" && I + 1 < argc)
-      JsonPath = argv[++I];
-    else if (A.rfind("--json=", 0) == 0)
-      JsonPath = A.substr(7);
-    else if (A == "--workloads" && I + 1 < argc)
-      WorkloadCsv = argv[++I];
-    else if (A.rfind("--workloads=", 0) == 0)
-      WorkloadCsv = A.substr(12);
-    else if (A == "--inject-self-check-failure")
-      InjectFailure = true;
-    else if (A == "--throughput")
-      Throughput = true;
-    else if (A == "--throughput-json" && I + 1 < argc)
-      ThroughputJson = argv[++I];
-    else if (A.rfind("--throughput-json=", 0) == 0)
-      ThroughputJson = A.substr(18);
-    else if (A == "--throughput-secs" && I + 1 < argc)
-      ThroughputSecs = std::atof(argv[++I]);
-    else if (A.rfind("--throughput-secs=", 0) == 0)
-      ThroughputSecs = std::atof(A.c_str() + 18);
-  }
+  MachineFlags MachineSel;
+  AdaptationKnobs Adapt;
+  init(argc, argv,
+       {{{"--json", "FILE",
+          "report path, \"-\" for stdout (default: sweep_report.json)",
+          support::setString(JsonPath)},
+         {"--workloads", "CSV", "restrict to these Table 3 workloads",
+          support::setString(WorkloadCsv)},
+         {"--throughput", nullptr,
+          "measure replay throughput instead of running the sweep",
+          support::setBool(Throughput)},
+         {"--throughput-json", "FILE",
+          "throughput result path (default: BENCH_sweep_throughput.json)",
+          support::setString(ThroughputJson)},
+         {"--throughput-secs", "S",
+          "minimum measured seconds per throughput mode; 0 = 1 (default 1)",
+          support::setDouble(ThroughputSecs)},
+         {"--inject-self-check-failure", nullptr, "",
+          support::setBool(InjectFailure), nullptr, false, true}},
+        MachineSel.flags(), Adapt.flags()});
   unsigned Jobs = cli().Jobs;
 
   // --machine/--machine-file select machines for a prefetch-source sweep
-  // (none/sw/hw/combined per workload); --hw-prefetch overrides every
-  // selected machine's hardware prefetcher kind. Without a machine
-  // selection the classic Pentium4+AthlonMP algorithm sweep runs.
-  std::optional<sim::HwPrefetchKind> HwOverride;
-  std::vector<sim::MachineConfig> Machines =
-      machinesFromArgs(argc, argv, &HwOverride);
-  const bool ModeSweep = !Machines.empty();
+  // (none/sw/hw/combined per workload); without a machine selection the
+  // classic Pentium4+AthlonMP algorithm sweep runs. --hw-prefetch
+  // overrides every planned machine's hardware prefetcher kind.
+  const bool ModeSweep = !MachineSel.Selected.empty();
+  std::vector<sim::MachineConfig> Machines = MachineSel.Selected;
+  if (!ModeSweep)
+    Machines = {sim::MachineConfig::pentium4(),
+                sim::MachineConfig::athlonMP()};
+  if (MachineSel.HwPrefetch)
+    for (sim::MachineConfig &M : Machines)
+      M.HwPrefetch = *MachineSel.HwPrefetch;
 
   std::vector<const WorkloadSpec *> Specs = selectWorkloads(WorkloadCsv);
   if (Specs.empty()) {
@@ -610,15 +508,9 @@ int main(int argc, char **argv) {
                             "machine:" + M.Name)
               .front());
   } else {
-    sim::MachineConfig P4 = *sim::MachineConfig::byName("pentium4");
-    sim::MachineConfig Athlon = *sim::MachineConfig::byName("athlonmp");
-    if (HwOverride) {
-      P4.HwPrefetch = *HwOverride;
-      Athlon.HwPrefetch = *HwOverride;
-    }
-    P4Cells = Plan.addSweep(Specs, Algos, {P4}, benchConfig(), "p4");
+    P4Cells = Plan.addSweep(Specs, Algos, {Machines[0]}, benchConfig(), "p4");
     AthlonCells =
-        Plan.addSweep(Specs, Algos, {Athlon}, benchConfig(), "athlon");
+        Plan.addSweep(Specs, Algos, {Machines[1]}, benchConfig(), "athlon");
   }
   if (InjectFailure) {
     harness::ExperimentCell Cell;
@@ -633,7 +525,6 @@ int main(int argc, char **argv) {
   // --epochs/--gc-variant/--governor/--phase-change season every planned
   // cell; with all four at their defaults this is a no-op and the sweep
   // is byte-identical to the classic single-epoch run.
-  AdaptationKnobs Adapt = adaptationFromArgs(argc, argv);
   for (harness::ExperimentCell &C : Plan.cells()) {
     Adapt.applyTo(C.Opt);
     // --timeline-every N / SPF_TIMELINE: sample the cycle attribution

@@ -25,51 +25,27 @@ uint64_t harness::cellMemMbFromEnv() {
   return support::envU64("SPF_CELL_MEM_MB", 0);
 }
 
-namespace {
-
-unsigned parseWorkerUnsigned(const char *Flag, const char *S) {
-  char *End = nullptr;
-  unsigned long V = std::strtoul(S, &End, 10);
-  if (End == S || *End != '\0')
-    support::envConfigError(Flag, S, "expected an unsigned integer");
-  return static_cast<unsigned>(V);
-}
-
-} // namespace
-
-std::optional<WorkerRequest> harness::parseWorkerRequest(int Argc,
-                                                         char **Argv) {
-  WorkerRequest Req;
-  bool Found = false;
-  for (int I = 1; I < Argc; ++I) {
-    std::string A = Argv[I];
-    auto NextValue = [&](const char *Flag) -> const char * {
-      if (I + 1 >= Argc)
-        support::envConfigError(Flag, "", "missing value");
-      return Argv[++I];
-    };
-    if (A == "--run-cell") {
-      std::string V = NextValue("--run-cell");
-      size_t Colon = V.find(':');
-      if (Colon == std::string::npos)
-        support::envConfigError("--run-cell", V.c_str(),
-                                "expected PLANSEQ:CELL");
-      Req.PlanSeq =
-          parseWorkerUnsigned("--run-cell", V.substr(0, Colon).c_str());
-      Req.Cell =
-          parseWorkerUnsigned("--run-cell", V.substr(Colon + 1).c_str());
-      Found = true;
-    } else if (A == "--cell-attempt") {
-      Req.Attempt =
-          parseWorkerUnsigned("--cell-attempt", NextValue("--cell-attempt"));
-    } else if (A == "--result-fd") {
-      Req.ResultFd = static_cast<int>(
-          parseWorkerUnsigned("--result-fd", NextValue("--result-fd")));
-    }
-  }
-  if (!Found)
-    return std::nullopt;
-  return Req;
+support::FlagTable harness::workerFlags(std::optional<WorkerRequest> &Req) {
+  auto Engage = [&Req]() -> WorkerRequest & {
+    return Req ? *Req : Req.emplace();
+  };
+  auto RunCell = [Engage](const std::string &V) -> std::string {
+    const size_t Colon = V.find(':');
+    if (Colon == std::string::npos)
+      return "expected PLANSEQ:CELL";
+    WorkerRequest &R = Engage();
+    std::string Why = support::setUInt(R.PlanSeq)(V.substr(0, Colon));
+    return Why.empty() ? support::setUInt(R.Cell)(V.substr(Colon + 1)) : Why;
+  };
+  auto Attempt = [Engage](const std::string &V) {
+    return support::setUInt(Engage().Attempt)(V);
+  };
+  auto ResultFd = [Engage](const std::string &V) {
+    return support::setUInt(Engage().ResultFd)(V);
+  };
+  return {{"--run-cell", "PLANSEQ:CELL", "", RunCell, nullptr, false, true},
+          {"--cell-attempt", "N", "", Attempt, nullptr, false, true},
+          {"--result-fd", "FD", "", ResultFd, nullptr, false, true}};
 }
 
 std::vector<std::string> harness::workerArgv(const std::string &SelfPath,

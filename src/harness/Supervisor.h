@@ -30,6 +30,7 @@
 #define SPF_HARNESS_SUPERVISOR_H
 
 #include "harness/Experiment.h"
+#include "support/Flags.h"
 
 #include <optional>
 #include <string>
@@ -46,10 +47,13 @@ struct WorkerRequest {
   int ResultFd = 3;     ///< Where the record line goes.
 };
 
-/// Recognizes the hidden worker flags in \p argv; nullopt for a normal
-/// (supervisor or plain) invocation. Malformed worker flags exit 2 —
-/// they are never user input, so any malformation is a driver bug.
-std::optional<WorkerRequest> parseWorkerRequest(int Argc, char **Argv);
+/// The hidden worker-protocol rows that workerArgv appends (--run-cell
+/// PLANSEQ:CELL, --cell-attempt N, --result-fd FD), for the flag table of
+/// every binary that spawns itself as a worker. Any of them engages
+/// \p Req; it stays nullopt for a normal (supervisor or plain)
+/// invocation. Malformed values exit 2 like any other bad flag — they
+/// are never user input, so any malformation is a driver bug.
+support::FlagTable workerFlags(std::optional<WorkerRequest> &Req);
 
 /// Builds the worker argv for one (cell, attempt): \p SelfPath plus the
 /// original \p Argc/\p Argv arguments (so the child rebuilds the same

@@ -2,7 +2,7 @@
 
 #include "harness/ThreadPool.h"
 
-#include <cstdlib>
+#include "support/Env.h"
 
 using namespace spf;
 using namespace spf::harness;
@@ -85,11 +85,8 @@ void ThreadPool::workerLoop() {
 }
 
 unsigned harness::defaultJobs() {
-  if (const char *S = std::getenv("SPF_JOBS")) {
-    long V = std::atol(S);
-    if (V > 0)
-      return static_cast<unsigned>(V);
-  }
+  if (uint64_t Jobs = support::envU64("SPF_JOBS", 0, 1, MaxJobs))
+    return static_cast<unsigned>(Jobs);
   unsigned HW = std::thread::hardware_concurrency();
   return HW ? HW : 1;
 }

@@ -69,9 +69,13 @@ private:
   std::atomic<uint64_t> UncaughtExceptions{0};
 };
 
-/// The worker count the harness should use: SPF_JOBS when set to a
-/// positive integer, otherwise std::thread::hardware_concurrency()
-/// (itself clamped to at least 1).
+/// Largest accepted worker count (SPF_JOBS, --jobs): more threads than
+/// this is a typo, not a configuration.
+inline constexpr unsigned MaxJobs = 1024;
+
+/// The worker count the harness should use: SPF_JOBS when set (an
+/// integer in [1, MaxJobs]; anything else exits 2, see support/Env.h),
+/// otherwise std::thread::hardware_concurrency() (clamped to >= 1).
 unsigned defaultJobs();
 
 } // namespace harness

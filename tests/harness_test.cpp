@@ -118,11 +118,14 @@ TEST(DefaultJobsTest, HonorsSpfJobsWhenPositive) {
   EXPECT_EQ(defaultJobs(), 3u);
   setenv("SPF_JOBS", "1", 1);
   EXPECT_EQ(defaultJobs(), 1u);
-  // Garbage and non-positive values fall back to a sane default.
-  setenv("SPF_JOBS", "0", 1);
-  EXPECT_GE(defaultJobs(), 1u);
-  setenv("SPF_JOBS", "banana", 1);
-  EXPECT_GE(defaultJobs(), 1u);
+  // Garbage and non-positive values are configuration errors (exit 2),
+  // never a silent fallback to the hardware default.
+  for (const char *Bad : {"0", "banana", "-3", "2x"}) {
+    setenv("SPF_JOBS", Bad, 1);
+    EXPECT_EXIT(defaultJobs(), ::testing::ExitedWithCode(2),
+                "invalid SPF_JOBS")
+        << Bad;
+  }
   unsetenv("SPF_JOBS");
   EXPECT_GE(defaultJobs(), 1u);
 

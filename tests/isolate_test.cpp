@@ -267,8 +267,9 @@ TEST(WorkerProtocolTest, ParseRoundTripsThroughWorkerArgv) {
   std::vector<char *> CArgv;
   for (std::string &S : Argv)
     CArgv.push_back(S.data());
-  auto Req =
-      parseWorkerRequest(static_cast<int>(CArgv.size()), CArgv.data());
+  std::optional<WorkerRequest> Req;
+  support::parseFlags(workerFlags(Req), static_cast<int>(CArgv.size()),
+                      CArgv.data());
   ASSERT_TRUE(Req.has_value());
   EXPECT_EQ(Req->PlanSeq, 2u);
   EXPECT_EQ(Req->Cell, 17u);
@@ -277,22 +278,27 @@ TEST(WorkerProtocolTest, ParseRoundTripsThroughWorkerArgv) {
 }
 
 TEST(WorkerProtocolTest, PlainInvocationIsNotAWorker) {
-  EXPECT_FALSE(parseWorkerRequest(GArgc, GArgv).has_value());
+  std::optional<WorkerRequest> Req;
+  support::parseFlags(workerFlags(Req), GArgc, GArgv);
+  EXPECT_FALSE(Req.has_value());
 }
 
 } // namespace
 
-/// Custom main: worker dispatch first (this is exactly what the bench
-/// binaries' init()/runPlanCli() do), then gtest. Linked against
-/// GTest::gtest only — gtest_main would swallow the worker protocol.
+/// Custom main: gtest strips its own flags, the rest of argv is parsed
+/// against the worker-protocol rows (as the bench binaries' init() does
+/// with their full table), and a worker invocation runs its cell. Linked
+/// against GTest::gtest only — gtest_main would swallow the dispatch.
 int main(int argc, char **argv) {
+  ::testing::InitGoogleTest(&argc, argv);
   GArgc = argc;
   GArgv = argv;
-  if (auto Req = parseWorkerRequest(argc, argv)) {
+  std::optional<WorkerRequest> Req;
+  support::parseFlags(workerFlags(Req), argc, argv);
+  if (Req) {
     TraceOptions NoTrace;
     NoTrace.Enabled = false;
     runCellWorker(testPlan(), *Req, NoTrace); // Does not return.
   }
-  ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();
 }
