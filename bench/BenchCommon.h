@@ -34,12 +34,14 @@
 #include "support/Shutdown.h"
 #include "workloads/Runner.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace spf {
 namespace bench {
@@ -54,6 +56,41 @@ inline workloads::WorkloadConfig benchConfig() {
   workloads::WorkloadConfig Cfg;
   Cfg.Scale = scaleFromEnv();
   return Cfg;
+}
+
+/// Sets \p Specs to the Table 3 workloads named in the comma-separated
+/// \p Csv, in order — every workload when \p Csv is empty — and returns
+/// "", or returns why \p Csv was rejected (an unknown name), leaving
+/// \p Specs untouched.
+inline std::string
+selectWorkloads(const std::string &Csv,
+                std::vector<const workloads::WorkloadSpec *> &Specs) {
+  std::vector<const workloads::WorkloadSpec *> Selected;
+  if (Csv.empty())
+    for (const workloads::WorkloadSpec &S : workloads::allWorkloads())
+      Selected.push_back(&S);
+  size_t Begin = 0;
+  while (Begin < Csv.size()) {
+    size_t End = std::min(Csv.find(',', Begin), Csv.size());
+    std::string Name = Csv.substr(Begin, End - Begin);
+    const workloads::WorkloadSpec *S = workloads::findWorkload(Name);
+    if (!S)
+      return "unknown workload '" + Name + "'";
+    Selected.push_back(S);
+    Begin = End + 1;
+  }
+  Specs = std::move(Selected);
+  return "";
+}
+
+/// A --workloads row over selectWorkloads(): an unknown name is a
+/// configuration error, so the binary exits 2 before any cell runs.
+inline support::Flag
+workloadsFlag(std::vector<const workloads::WorkloadSpec *> &Specs,
+              const char *Help) {
+  return {"--workloads", "CSV", Help, [&Specs](const std::string &V) {
+            return selectWorkloads(V, Specs);
+          }};
 }
 
 /// Machine-selection rows (bench/sweep). --machine and --machine-file
@@ -101,8 +138,8 @@ struct MachineFlags {
   }
 };
 
-/// Epoch / GC-variant / governor rows shared by adaptation-aware benches
-/// (bench/adaptation, bench/sweep).
+/// Epoch / GC-variant / governor / phase-change rows of bench/sweep,
+/// applied to every planned cell.
 struct AdaptationKnobs {
   unsigned Epochs = 1;
   vm::GcVariant GcVariant = vm::GcVariant::SlidingCompact;
@@ -215,13 +252,6 @@ struct BenchCli {
   std::string DecisionsOut; ///< Compile-decision JSON-lines path.
   bool Explain = false;     ///< Print the per-cell decision summary.
   bool DecisionsOpened = false; ///< First plan truncates, later append.
-  /// Timeline sampling cadence (--timeline-every N / SPF_TIMELINE):
-  /// cells of timeline-aware benches sample the cycle attribution every
-  /// N memory events and the report grows cycle_breakdown / timeline /
-  /// top_sites keys. 0 (the default) keeps reports byte-identical to
-  /// the pre-timeline format; forced to 0 when observability is
-  /// disabled (SPF_OBS=0 runs must stay byte-identical).
-  uint64_t TimelineEvery = 0;
 };
 
 inline BenchCli &cli() {
@@ -310,10 +340,7 @@ inline support::FlagTable sharedFlags(BenchCli &C) {
       {"--decisions-out", "FILE", "write one JSON line per compile decision",
        setString(C.DecisionsOut), "SPF_DECISIONS_OUT"},
       {"--explain", nullptr, "print the per-cell compile-decision summary",
-       setBool(C.Explain)},
-      {"--timeline-every", "N",
-       "sample the cycle attribution every N memory events; 0 = off",
-       setUInt(C.TimelineEvery), "SPF_TIMELINE"}};
+       setBool(C.Explain)}};
   for (Flag &F : harness::workerFlags(C.Worker))
     T.push_back(std::move(F));
   return T;
@@ -358,11 +385,6 @@ inline void init(int argc, char **argv,
   // a group kill still takes them down instantly.
   if (!C.Worker)
     support::installShutdownHandlers();
-  // SPF_OBS=0 (or an -DSPF_OBSERVABILITY=OFF build) must produce
-  // byte-identical reports: the timeline facet is an observability
-  // feature, so it is hard-disabled along with the rest of obs.
-  if (!obs::enabled())
-    C.TimelineEvery = 0;
   // Arm the tracer in supervisors AND workers (workers inherit the flag
   // via workerArgv; their spans travel back on the record line). Only
   // the supervisor flushes files: workers _Exit before atexit runs, and

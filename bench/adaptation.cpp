@@ -78,19 +78,6 @@ struct RowResult {
 /// absorbing the governed run's first-epoch learning cost.
 constexpr double NeverWorseTolerance = 0.02;
 
-std::vector<const WorkloadSpec *> selectWorkloads(const std::string &Csv) {
-  std::vector<const WorkloadSpec *> Specs;
-  std::stringstream SS(Csv);
-  std::string Name;
-  while (std::getline(SS, Name, ',')) {
-    if (const WorkloadSpec *S = findWorkload(Name))
-      Specs.push_back(S);
-    else
-      reportFailure("unknown workload '" + Name + "'");
-  }
-  return Specs;
-}
-
 unsigned addCell(harness::ExperimentPlan &Plan, const WorkloadSpec *Spec,
                  const sim::MachineConfig &Machine, Algorithm Algo,
                  vm::GcVariant Variant, bool Governor, unsigned Epochs,
@@ -208,17 +195,22 @@ void checkAgainst(const std::string &Path, const std::string &ReportText) {
 
 int main(int argc, char **argv) {
   std::string OutPath = "BENCH_adaptation.json";
-  std::string WorkloadCsv = "db,jack,MonteCarlo";
+  std::vector<const WorkloadSpec *> Specs;
+  selectWorkloads("db,jack,MonteCarlo", Specs);
   std::string CheckPath;
   unsigned MinRecovered = 3;
-  AdaptationKnobs Knobs;
+  unsigned Epochs = 10;
+  // The GC variants and the governor setting are this binary's own
+  // experiment design (every cell sets them), so it takes no
+  // --gc-variant/--governor/--phase-change rows: only the epoch count.
   init(argc, argv,
        {{{"--out", "FILE",
           "JSON report path, \"-\" for stdout (default: "
           "BENCH_adaptation.json)",
           support::setString(OutPath)},
-         {"--workloads", "CSV", "workload subset (default: db,jack,MonteCarlo)",
-          support::setString(WorkloadCsv)},
+         workloadsFlag(Specs,
+                       "workload subset, empty = all (default: "
+                       "db,jack,MonteCarlo)"),
          {"--min-recovered", "N",
           "address-shuffle workloads that must recover >= 50% (default 3, "
           "clamped to [1, workloads])",
@@ -226,17 +218,14 @@ int main(int argc, char **argv) {
          {"--check-against", "FILE",
           "fail when a recovery fraction fell more than 0.20 below this "
           "baseline report",
-          support::setString(CheckPath)}},
-        Knobs.flags()});
-  // Adaptation needs epoch boundaries to act at; --epochs 1 (or the
-  // default) means "use the bench default" here.
-  unsigned Epochs = Knobs.Epochs > 1 ? Knobs.Epochs : 10;
+          support::setString(CheckPath)},
+         {"--epochs", "N",
+          "epochs per cell, a full GC at each boundary; adaptation needs "
+          "boundaries to act at, so 1 means the default 10",
+          support::setUInt(Epochs, 1, 1000000), "SPF_EPOCHS"}}});
+  if (Epochs == 1)
+    Epochs = 10;
 
-  std::vector<const WorkloadSpec *> Specs = selectWorkloads(WorkloadCsv);
-  if (Specs.empty()) {
-    reportFailure("no workloads selected");
-    return exitCode();
-  }
   MinRecovered = std::min<unsigned>(
       MinRecovered ? MinRecovered : 1, static_cast<unsigned>(Specs.size()));
 

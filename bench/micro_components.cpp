@@ -43,6 +43,24 @@ void BM_TlbAccess(benchmark::State &State) {
 }
 BENCHMARK(BM_TlbAccess);
 
+/// The miss path alone: cycling Entries + 1 pages through an LRU TLB of
+/// Entries entries misses on every access (each page is evicted just
+/// before its turn comes round), so every iteration evicts and inserts.
+void BM_TlbMissStream(benchmark::State &State) {
+  const auto Entries = static_cast<unsigned>(State.range(0));
+  sim::Tlb T(Entries, 4096);
+  uint64_t Page = 0;
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(T.access(Page * 4096));
+    if (++Page == Entries + 1)
+      Page = 0;
+  }
+  if (T.demandMisses() != T.demandAccesses())
+    State.SkipWithError("an access hit: the stream no longer misses");
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_TlbMissStream)->Arg(64)->Arg(256);
+
 void BM_MemorySystemLoad(benchmark::State &State) {
   sim::MemorySystem Mem(*sim::MachineConfig::byName("pentium4"));
   uint64_t Addr = 0x100000000ull;

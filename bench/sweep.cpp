@@ -28,7 +28,6 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <unistd.h>
 
 using namespace spf;
@@ -36,25 +35,6 @@ using namespace spf::bench;
 using namespace spf::workloads;
 
 namespace {
-
-/// The Table 3 workloads restricted to \p Csv (all of them when empty).
-std::vector<const WorkloadSpec *> selectWorkloads(const std::string &Csv) {
-  std::vector<const WorkloadSpec *> Specs;
-  if (Csv.empty()) {
-    for (const WorkloadSpec &S : allWorkloads())
-      Specs.push_back(&S);
-    return Specs;
-  }
-  std::stringstream SS(Csv);
-  std::string Name;
-  while (std::getline(SS, Name, ',')) {
-    if (const WorkloadSpec *S = findWorkload(Name))
-      Specs.push_back(S);
-    else
-      reportFailure("unknown workload '" + Name + "'");
-  }
-  return Specs;
-}
 
 /// Per-workload rows of one machine's block of the plan.
 std::vector<WorkloadRuns>
@@ -427,7 +407,9 @@ int runThroughput(const std::vector<const WorkloadSpec *> &Specs,
 
 int main(int argc, char **argv) {
   std::string JsonPath = "sweep_report.json";
-  std::string WorkloadCsv;
+  std::vector<const WorkloadSpec *> Specs;
+  selectWorkloads("", Specs);
+  uint64_t TimelineEvery = 0;
   bool InjectFailure = false;
   bool Throughput = false;
   std::string ThroughputJson = "BENCH_sweep_throughput.json";
@@ -438,8 +420,10 @@ int main(int argc, char **argv) {
        {{{"--json", "FILE",
           "report path, \"-\" for stdout (default: sweep_report.json)",
           support::setString(JsonPath)},
-         {"--workloads", "CSV", "restrict to these Table 3 workloads",
-          support::setString(WorkloadCsv)},
+         workloadsFlag(Specs, "restrict to these Table 3 workloads"),
+         {"--timeline-every", "N",
+          "sample the cycle attribution every N memory events; 0 = off",
+          support::setUInt(TimelineEvery), "SPF_TIMELINE"},
          {"--throughput", nullptr,
           "measure replay throughput instead of running the sweep",
           support::setBool(Throughput)},
@@ -466,12 +450,6 @@ int main(int argc, char **argv) {
   if (MachineSel.HwPrefetch)
     for (sim::MachineConfig &M : Machines)
       M.HwPrefetch = *MachineSel.HwPrefetch;
-
-  std::vector<const WorkloadSpec *> Specs = selectWorkloads(WorkloadCsv);
-  if (Specs.empty()) {
-    reportFailure("no workloads selected");
-    return exitCode();
-  }
 
   if (Throughput)
     return runThroughput(Specs, ThroughputJson,
@@ -529,7 +507,10 @@ int main(int argc, char **argv) {
     Adapt.applyTo(C.Opt);
     // --timeline-every N / SPF_TIMELINE: sample the cycle attribution
     // in every cell (0, the default, keeps the report byte-identical).
-    C.Opt.TimelineEvery = cli().TimelineEvery;
+    // Sampling is an observability feature, so SPF_OBS=0 (or an
+    // -DSPF_OBSERVABILITY=OFF build) turns it off with the rest of obs:
+    // those reports must stay byte-identical.
+    C.Opt.TimelineEvery = obs::enabled() ? TimelineEvery : 0;
   }
   if (Adapt.Epochs > 1 || Adapt.Governor)
     std::printf("sweep: epochs=%u gc-variant=%s governor=%s%s\n",

@@ -160,16 +160,18 @@ public:
   static constexpr size_t NoSlot = ~size_t(0);
 
   /// Pure probe for the replay fast path: the slot of a clean demand hit
-  /// (line present and fully resident — no in-flight prefetch to wait
-  /// for), or NoSlot. No state changes; pair with commitHit().
+  /// (line present, fully resident — no in-flight prefetch to wait for —
+  /// and carrying no unresolved prefetch tag), or NoSlot. No state
+  /// changes; pair with commitHit(). A tagged hit returns NoSlot so the
+  /// caller takes access(), which resolves the tag.
   size_t peekCleanHit(uint64_t Addr, uint64_t Now) const {
     uint64_t LineAddr = Addr >> LineShift;
     if (LineAddr == MruLine)
-      return ReadyAt[MruSlot] <= Now ? MruSlot : NoSlot;
+      return cleanAt(MruSlot, Now);
     size_t Base = setBase(LineAddr);
     for (unsigned I = 0; I != Params.Assoc; ++I)
       if (Tags[Base + I] == LineAddr)
-        return ReadyAt[Base + I] <= Now ? Base + I : NoSlot;
+        return cleanAt(Base + I, Now);
     return NoSlot;
   }
 
@@ -250,6 +252,11 @@ private:
 
   size_t setBase(uint64_t LineAddr) const {
     return (static_cast<size_t>(LineAddr) & (NumSets - 1)) * Params.Assoc;
+  }
+
+  /// peekCleanHit()'s verdict on resident slot \p S.
+  size_t cleanAt(size_t S, uint64_t Now) const {
+    return ReadyAt[S] <= Now && !(Obs && TagKinds[S]) ? S : NoSlot;
   }
 
   /// Hit bookkeeping shared by the MRU and scan paths (LastUse is already

@@ -333,16 +333,6 @@ void MemorySystem::guardedLoadFaultImpl(exec::SiteId Site) {
 __attribute__((flatten))
 #endif
 void MemorySystem::consume(const exec::AccessEvent *Events, size_t N) {
-  // Health tracking tags lines at L1, which the block cursor's clean-hit
-  // shortcut cannot resolve — take the per-event path (identical
-  // semantics by the block-dispatch contract). Governor-driven runs are
-  // the only ones that enable tracking, and they are never the replay
-  // throughput path.
-  if (SwHealth) {
-    for (size_t I = 0; I != N; ++I)
-      exec::dispatch(Events[I], *this);
-    return;
-  }
   // The replay fast path: one virtual consume() per block, and inside it
   // the clock and the load counters live in locals — member accesses all
   // share one alias class, so keeping them in the object would force a
@@ -353,7 +343,9 @@ void MemorySystem::consume(const exec::AccessEvent *Events, size_t N) {
   // batched-vs-per-event differential tests pin the two paths together,
   // bit for bit. RPT observation happens on the fast path too (the table
   // watches every load, hit or miss), but its fills only touch the last
-  // cache level, so the TLB/L1 cursors stay valid.
+  // cache level, so the TLB/L1 cursors stay valid. Under prefetch-health
+  // tracking a tagged L1 line is never a clean hit (peekCleanHit), so its
+  // first demand hit takes load(), which resolves the tag.
   uint64_t Cyc = Cycles;
   uint64_t NLoads = Stats.Loads;
   uint64_t Stalled = Stats.CyclesStalledOnLoads;
@@ -410,9 +402,11 @@ void MemorySystem::consume(const exec::AccessEvent *Events, size_t N) {
     TlbCur.reload();
     L1Cur.reload();
   };
-  // Stores, prefetches and guarded loads never touch the load counters
-  // or the site table, so their fallback only moves the clock and the
-  // TLB/L1 counter windows.
+  // Stores, prefetches and guarded loads never touch the load counters,
+  // so their fallback only moves the clock and the TLB/L1 counter
+  // windows. Under health tracking a prefetch may grow the site table
+  // (its issue is charged to its site), so the table is re-read; the
+  // pending site run stays valid, as the table only grows.
   auto SyncMachine = [&] {
     Cycles = Cyc;
     FlushAcct();
@@ -421,6 +415,8 @@ void MemorySystem::consume(const exec::AccessEvent *Events, size_t N) {
   };
   auto RehoistMachine = [&] {
     Cyc = Cycles;
+    SiteArr = Sites.data();
+    NSites = Sites.size();
     TlbCur.reload();
     L1Cur.reload();
   };
@@ -484,6 +480,11 @@ void MemorySystem::consume(const exec::AccessEvent *Events, size_t N) {
       break;
     case exec::EventKind::GuardedLoadFault:
       ++Stats.GuardedLoadFaults;
+      if (SwHealth) { // As guardedLoadFaultImpl: an issue against the site.
+        ++siteFor(E.Site).SwIssued;
+        SiteArr = Sites.data();
+        NSites = Sites.size();
+      }
       Cyc += Cfg.GuardFaultCost;
       AcctFault += Cfg.GuardFaultCost;
       break;

@@ -222,10 +222,10 @@ public:
   /// Turns on per-site prefetch-health accounting: software prefetch /
   /// guarded-load fills are tagged in the cache and their resolution
   /// (useful / late / evicted-unused) charged to the issuing site.
-  /// Timing, demand stats, and the pre-existing counters are unchanged —
-  /// but consume() leaves the batched fast path (the L1 cursor cannot
-  /// see tags), so enable this only for governor-driven runs. Cannot be
-  /// turned off again: tags already in flight would misreport.
+  /// Timing, demand stats, and the pre-existing counters are unchanged,
+  /// and consume() keeps its batched fast path (a tagged L1 line is
+  /// never a clean hit, so its first use takes the member path). Cannot
+  /// be turned off again: tags already in flight would misreport.
   void enablePrefetchHealth();
   bool prefetchHealthEnabled() const { return SwHealth; }
 
@@ -296,8 +296,7 @@ private:
   /// log2(PageBytes) for the walker's page-number math (0 = division
   /// fallback for non-power-of-two pages, matching Tlb).
   unsigned PageShift;
-  /// Prefetch-health tracking on (enablePrefetchHealth()); routes
-  /// consume() through the per-event path.
+  /// Prefetch-health tracking on (enablePrefetchHealth()).
   bool SwHealth = false;
   uint64_t Cycles = 0;
   MemoryStats Stats;

@@ -2,6 +2,8 @@
 
 #include "sim/Tlb.h"
 
+#include <cassert>
+
 using namespace spf;
 using namespace spf::sim;
 
@@ -15,18 +17,18 @@ Tlb::Tlb(unsigned Entries, unsigned PageBytes)
   size_t Cap = std::bit_ceil(static_cast<size_t>(Entries ? Entries : 1) * 2);
   if (Cap < 8)
     Cap = 8;
+  assert(Cap < Nil && "slot indices must fit the 32-bit recency links");
   Mask = Cap - 1;
   HashShift = 64 - static_cast<unsigned>(std::countr_zero(Cap));
   Pages.assign(Cap, EmptyPage);
-  Stamps.assign(Cap, 0);
+  Prev.assign(Cap, Nil);
+  Next.assign(Cap, Nil);
 }
 
 bool Tlb::accessSlow(uint64_t Page) {
   size_t I = findSlot(Page);
   if (I != NotFound) {
-    Stamps[I] = ++UseClock;
-    MruPage = Page;
-    MruIdx = I;
+    touch(static_cast<uint32_t>(I));
     return true;
   }
   ++DemandMisses;
@@ -35,42 +37,38 @@ bool Tlb::accessSlow(uint64_t Page) {
 }
 
 void Tlb::evictLru() {
-  // Evict the minimum stamp: exact LRU, since every touch assigns a
-  // fresh monotonic stamp. O(capacity) on the rare miss path, in
-  // exchange for probe-only hits.
-  size_t Victim = NotFound;
-  uint64_t Min = ~uint64_t(0);
-  size_t Cap = Mask + 1;
-  for (size_t I = 0; I != Cap; ++I)
-    if (Pages[I] < TombPage && Stamps[I] < Min) {
-      Min = Stamps[I];
-      Victim = I;
-    }
-  if (Pages[Victim] == MruPage) // Only possible when Entries == 1.
+  // The tail is the least recently touched entry: exact LRU in O(1).
+  uint32_t Victim = Tail;
+  Tail = Prev[Victim];
+  if (Tail != Nil) {
+    Next[Tail] = Nil;
+  } else { // The victim was the only entry (Entries == 1): the MRU.
+    Head = Nil;
     MruPage = NoPage;
+  }
   Pages[Victim] = TombPage;
   --LiveCount;
 }
 
 void Tlb::rebuild() {
-  // Drop tombstones, keeping every live (page, stamp) pair: LRU state is
-  // carried entirely by the stamps, so slot placement is unobservable.
+  // Drop tombstones. Re-inserting the live entries from the LRU tail to
+  // the MRU head, each pushed to the front, reproduces the recency list
+  // exactly, so slot placement stays unobservable.
   std::vector<uint64_t> OldPages = std::move(Pages);
-  std::vector<uint64_t> OldStamps = std::move(Stamps);
+  std::vector<uint32_t> OldPrev = std::move(Prev);
   size_t Cap = Mask + 1;
   Pages.assign(Cap, EmptyPage);
-  Stamps.assign(Cap, 0);
+  Prev.assign(Cap, Nil);
   UsedCount = LiveCount;
-  for (size_t I = 0; I != Cap; ++I) {
-    if (OldPages[I] >= TombPage)
-      continue;
-    size_t J = hashIdx(OldPages[I]);
+  ++Rebuilds;
+  uint32_t Old = Tail;
+  Head = Tail = Nil;
+  for (; Old != Nil; Old = OldPrev[Old]) {
+    size_t J = hashIdx(OldPages[Old]);
     while (Pages[J] != EmptyPage)
       J = (J + 1) & Mask;
-    Pages[J] = OldPages[I];
-    Stamps[J] = OldStamps[I];
-    if (OldPages[I] == MruPage)
-      MruIdx = J;
+    Pages[J] = OldPages[Old];
+    pushFront(static_cast<uint32_t>(J));
   }
 }
 
@@ -93,34 +91,26 @@ void Tlb::insertPage(uint64_t Page) {
     I = (I + 1) & Mask;
   }
   Pages[I] = Page;
-  Stamps[I] = ++UseClock;
   ++LiveCount;
+  pushFront(static_cast<uint32_t>(I));
   MruPage = Page;
-  MruIdx = I;
 }
 
 void Tlb::fill(uint64_t Addr) {
   uint64_t Page = pageOf(Addr);
-  if (Page == MruPage) {
-    Stamps[MruIdx] = ++UseClock;
+  if (Page == MruPage)
     return;
-  }
   size_t I = findSlot(Page);
-  if (I != NotFound) {
-    Stamps[I] = ++UseClock;
-    MruPage = Page;
-    MruIdx = I;
-    return;
-  }
-  insertPage(Page);
+  if (I != NotFound)
+    touch(static_cast<uint32_t>(I));
+  else
+    insertPage(Page);
 }
 
 void Tlb::reset() {
   Pages.assign(Pages.size(), EmptyPage);
-  Stamps.assign(Stamps.size(), 0);
+  Head = Tail = Nil;
   LiveCount = 0;
   UsedCount = 0;
-  UseClock = 0;
   MruPage = NoPage;
-  MruIdx = 0;
 }

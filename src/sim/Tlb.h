@@ -7,17 +7,18 @@
 /// Section 3.3); Figure 10 reports DTLB load MPIs.
 ///
 /// The TLB sits on the hottest per-event path of trace replay (every
-/// demand access translates), so the structure is built for lookups:
-/// recency is a monotonic use-clock stamp per entry (stamps are unique
-/// and monotonic, so min-stamp eviction is exactly list-LRU order), a
-/// one-entry MRU filter short-circuits same-page runs, and the page
-/// table itself is a fixed-capacity open-addressed hash table in two
-/// flat arrays — one multiply-shift hash plus a short linear probe per
-/// lookup, no node allocation, no pointer chase. Deletion (eviction)
-/// tombstones the slot; the table is rebuilt in place when tombstones
-/// would stretch probe chains. All of it is bookkeeping layout only:
-/// hit/miss decisions and eviction order are bit-identical to the
-/// classic linked-list LRU.
+/// demand access translates), and a miss-heavy workload misses it
+/// millions of times per sweep, so every operation is O(1). The page
+/// table is a fixed-capacity open-addressed hash table in flat arrays —
+/// one multiply-shift hash plus a short linear probe per lookup, no node
+/// allocation. Recency is an intrusive doubly linked list threaded
+/// through the same slots (Prev/Next indices, MRU at the head): a touch
+/// moves the slot to the head and eviction tombstones the tail. A
+/// one-entry MRU filter (always the list head) short-circuits same-page
+/// runs with no list work at all. The table is rebuilt in place, tail
+/// to head, when tombstones would stretch probe chains. All of it is
+/// bookkeeping layout only: hit/miss decisions and eviction order are
+/// bit-identical to the classic linked-list LRU.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +33,7 @@
 namespace spf {
 namespace sim {
 
-/// Fully-associative LRU TLB with O(1) lookup.
+/// Fully-associative LRU TLB with O(1) lookup, touch and eviction.
 class Tlb {
 public:
   Tlb(unsigned Entries, unsigned PageBytes);
@@ -44,10 +45,8 @@ public:
   bool access(uint64_t Addr) {
     uint64_t Page = pageOf(Addr);
     ++DemandAccesses;
-    if (Page == MruPage) {
-      Stamps[MruIdx] = ++UseClock;
+    if (Page == MruPage) // Already the list head: nothing to move.
       return true;
-    }
     return accessSlow(Page);
   }
 
@@ -59,17 +58,15 @@ public:
   size_t peekHit(uint64_t Addr) const {
     uint64_t Page = pageOf(Addr);
     if (Page == MruPage)
-      return MruIdx;
+      return Head;
     return findSlot(Page);
   }
 
   /// Commits the demand hit peekHit() found — exactly access()'s hit
-  /// path (demand-access count, fresh use stamp, MRU repoint).
+  /// path (demand-access count, move to the list head, MRU repoint).
   void commitHit(size_t Slot) {
     ++DemandAccesses;
-    Stamps[Slot] = ++UseClock;
-    MruPage = Pages[Slot];
-    MruIdx = Slot;
+    touch(static_cast<uint32_t>(Slot));
   }
 
   /// Register-resident counter window for a block of commits — same
@@ -77,32 +74,21 @@ public:
   /// on this TLB and at the end of the block.
   class BlockCursor {
   public:
-    explicit BlockCursor(Tlb &T)
-        : T(T), UseClock(T.UseClock), DemandAccesses(T.DemandAccesses) {}
+    explicit BlockCursor(Tlb &T) : T(T), DemandAccesses(T.DemandAccesses) {}
 
     size_t peekHit(uint64_t Addr) const { return T.peekHit(Addr); }
 
-    /// Exactly Tlb::commitHit, counters held in the cursor.
+    /// Exactly Tlb::commitHit, the counter held in the cursor.
     void commitHit(size_t Slot) {
       ++DemandAccesses;
-      T.Stamps[Slot] = ++UseClock;
-      T.MruPage = T.Pages[Slot];
-      T.MruIdx = Slot;
+      T.touch(static_cast<uint32_t>(Slot));
     }
 
-    void flush() {
-      T.UseClock = UseClock;
-      T.DemandAccesses = DemandAccesses;
-    }
-
-    void reload() {
-      UseClock = T.UseClock;
-      DemandAccesses = T.DemandAccesses;
-    }
+    void flush() { T.DemandAccesses = DemandAccesses; }
+    void reload() { DemandAccesses = T.DemandAccesses; }
 
   private:
     Tlb &T;
-    uint64_t UseClock;
     uint64_t DemandAccesses;
   };
 
@@ -124,12 +110,41 @@ public:
 
   uint64_t demandAccesses() const { return DemandAccesses; }
   uint64_t demandMisses() const { return DemandMisses; }
+  /// Tombstone compactions so far (survives reset(), like the counters).
+  uint64_t rebuilds() const { return Rebuilds; }
 
 private:
   bool accessSlow(uint64_t Page);
   void insertPage(uint64_t Page);
   void evictLru();
   void rebuild();
+
+  /// Makes live slot \p I the most recently used: moves it to the list
+  /// head and points the MRU filter at it. O(1); a no-op on the head.
+  void touch(uint32_t I) {
+    if (I != Head) {
+      // I is not the head, so it has a predecessor.
+      uint32_t P = Prev[I], N = Next[I];
+      Next[P] = N;
+      if (N != Nil)
+        Prev[N] = P;
+      else
+        Tail = P;
+      pushFront(I);
+    }
+    MruPage = Pages[I];
+  }
+
+  /// Links unlinked slot \p I in as the list head.
+  void pushFront(uint32_t I) {
+    Prev[I] = Nil;
+    Next[I] = Head;
+    if (Head != Nil)
+      Prev[Head] = I;
+    else
+      Tail = I;
+    Head = I;
+  }
 
   /// Page number of \p Addr: a shift for power-of-two page sizes (the
   /// universal case; PageShift 0 falls back to division). Page sizes of
@@ -146,6 +161,8 @@ private:
   static constexpr uint64_t TombPage = ~uint64_t(0) - 1;
   /// MRU-invalid marker (doubles as "no page": equals EmptyPage).
   static constexpr uint64_t NoPage = ~uint64_t(0);
+  /// End of the recency list.
+  static constexpr uint32_t Nil = ~uint32_t(0);
 
   size_t hashIdx(uint64_t Page) const {
     return static_cast<size_t>((Page * 0x9E3779B97F4A7C15ull) >> HashShift);
@@ -168,20 +185,25 @@ private:
   unsigned PageBytes;
   unsigned PageShift;
   unsigned HashShift;
-  size_t Mask;              ///< Capacity - 1 (capacity is a power of two).
-  std::vector<uint64_t> Pages;  ///< Page per slot, or a sentinel.
-  std::vector<uint64_t> Stamps; ///< Last-use stamp, parallel to Pages.
-  size_t LiveCount = 0;         ///< Resident entries (<= Entries).
-  size_t UsedCount = 0;         ///< Live + tombstoned slots.
-  uint64_t UseClock = 0;
-  /// One-entry MRU filter: NoPage = invalid; otherwise Pages[MruIdx] ==
-  /// MruPage (eviction of the MRU entry and reset() invalidate it;
-  /// rebuild() re-points MruIdx).
+  size_t Mask;                 ///< Capacity - 1 (capacity is a power of two).
+  std::vector<uint64_t> Pages; ///< Page per slot, or a sentinel.
+  /// Recency list over the live slots, parallel to Pages: Prev points
+  /// toward the MRU head, Next toward the LRU tail. Meaningless for
+  /// empty and tombstoned slots.
+  std::vector<uint32_t> Prev;
+  std::vector<uint32_t> Next;
+  uint32_t Head = Nil; ///< Most recently used live slot.
+  uint32_t Tail = Nil; ///< Least recently used live slot: the victim.
+  size_t LiveCount = 0; ///< Resident entries (<= Entries).
+  size_t UsedCount = 0; ///< Live + tombstoned slots.
+  /// One-entry MRU filter: NoPage = invalid; otherwise Pages[Head] ==
+  /// MruPage (every touch moves its slot to the head; eviction of the
+  /// head and reset() invalidate the filter).
   uint64_t MruPage = NoPage;
-  size_t MruIdx = 0;
 
   uint64_t DemandAccesses = 0;
   uint64_t DemandMisses = 0;
+  uint64_t Rebuilds = 0;
 };
 
 } // namespace sim

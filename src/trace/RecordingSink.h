@@ -15,6 +15,8 @@
 
 #include "trace/TraceBuffer.h"
 
+#include <vector>
+
 namespace spf {
 namespace trace {
 
@@ -98,6 +100,53 @@ public:
 private:
   exec::AccessSink &Inner;
   TraceBuffer &Buf;
+};
+
+/// An AccessSink that forwards every event to a live inner sink while
+/// appending it, decoded and with its attribution site, to a vector. The
+/// in-memory counterpart of RecordingSink for streams the wire format
+/// cannot carry: a governed run's prefetch sites (tests feed such a
+/// stream to the batched and the per-event model and compare them).
+class CapturingSink final : public exec::AccessSink {
+public:
+  CapturingSink(exec::AccessSink &Inner, std::vector<exec::AccessEvent> &Out)
+      : Inner(Inner), Out(Out) {}
+
+  void tick(uint64_t N) override {
+    Out.push_back({exec::EventKind::Tick, N, 0});
+    Inner.tick(N);
+  }
+  void load(uint64_t Addr, exec::SiteId Site) override {
+    Out.push_back({exec::EventKind::Load, Addr, Site});
+    Inner.load(Addr, Site);
+  }
+  void store(uint64_t Addr) override {
+    Out.push_back({exec::EventKind::Store, Addr, 0});
+    Inner.store(Addr);
+  }
+  void prefetch(uint64_t Addr) override { prefetch(Addr, 0); }
+  void guardedLoad(uint64_t Addr) override { guardedLoad(Addr, 0); }
+  void guardedLoadFault() override { guardedLoadFault(0); }
+  void prefetch(uint64_t Addr, exec::SiteId Site) override {
+    Out.push_back({exec::EventKind::Prefetch, Addr, Site});
+    Inner.prefetch(Addr, Site);
+  }
+  void guardedLoad(uint64_t Addr, exec::SiteId Site) override {
+    Out.push_back({exec::EventKind::GuardedLoad, Addr, Site});
+    Inner.guardedLoad(Addr, Site);
+  }
+  void guardedLoadFault(exec::SiteId Site) override {
+    Out.push_back({exec::EventKind::GuardedLoadFault, 0, Site});
+    Inner.guardedLoadFault(Site);
+  }
+  void consume(const exec::AccessEvent *Events, size_t N) override {
+    Out.insert(Out.end(), Events, Events + N);
+    Inner.consume(Events, N);
+  }
+
+private:
+  exec::AccessSink &Inner;
+  std::vector<exec::AccessEvent> &Out;
 };
 
 } // namespace trace

@@ -115,6 +115,11 @@ RunResult workloads::runWorkload(const WorkloadSpec &Spec,
     Recorder.emplace(*Sink, *Opts.Record);
     Sink = &*Recorder;
   }
+  std::optional<trace::CapturingSink> Capturer;
+  if (Opts.Capture) {
+    Capturer.emplace(*Sink, *Opts.Capture);
+    Sink = &*Capturer;
+  }
   exec::Interpreter Interp(*W.Heap, *Sink, &W.Roots);
   if (Opts.TimeoutSeconds > 0.0)
     Interp.setDeadline(Opts.TimeoutSeconds);

@@ -58,6 +58,11 @@ struct RunOptions {
   /// Pre-size hint for the recording buffer, in expected encoded events
   /// (typically a previous trace of the same workload); 0 = no hint.
   uint64_t ReserveEvents = 0;
+  /// When set, every event the simulated machine consumes is also
+  /// appended here, prefetch attribution sites included (a trace drops
+  /// them). For direct runWorkload() callers such as tests; a cell the
+  /// harness replays from a cached trace does not fill it.
+  std::vector<exec::AccessEvent> *Capture = nullptr;
 
   // -- Epochs, GC perturbation, and the prefetch-health governor -----------
 

@@ -1,8 +1,13 @@
 //===- tests/sim_test.cpp - Cache, TLB, prefetcher, memory system ---------===//
 
 #include "sim/MemorySystem.h"
+#include "support/SplitMix64.h"
 
 #include <gtest/gtest.h>
+
+#include <list>
+#include <string>
+#include <unordered_map>
 
 using namespace spf;
 using namespace spf::sim;
@@ -137,6 +142,120 @@ TEST(TlbTest, FillPrimesWithoutCountingDemand) {
   EXPECT_EQ(T.demandAccesses(), 0u);
   EXPECT_TRUE(T.access(0x5000));
   EXPECT_EQ(T.demandMisses(), 0u);
+}
+
+/// The classic list LRU the TLB must match step for step: MRU at the
+/// front, evict from the back.
+class ReferenceLru {
+public:
+  explicit ReferenceLru(size_t Entries) : Entries(Entries) {}
+
+  bool contains(uint64_t Page) const { return Where.count(Page) != 0; }
+
+  /// Touches \p Page (inserting it, evicting the LRU entry when full);
+  /// returns whether it was resident.
+  bool touch(uint64_t Page) {
+    auto It = Where.find(Page);
+    bool Hit = It != Where.end();
+    if (Hit) {
+      Pages.erase(It->second);
+    } else if (Pages.size() == Entries) {
+      Where.erase(Pages.back());
+      Pages.pop_back();
+    }
+    Pages.push_front(Page);
+    Where[Page] = Pages.begin();
+    return Hit;
+  }
+
+private:
+  size_t Entries;
+  std::list<uint64_t> Pages;
+  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> Where;
+};
+
+TEST(TlbTest, MatchesListLruOnRandomStreams) {
+  constexpr uint64_t PageBytes = 4096;
+  for (unsigned Entries : {1u, 2u, 64u, 256u}) {
+    SCOPED_TRACE("entries " + std::to_string(Entries));
+    Tlb T(Entries, PageBytes);
+    ReferenceLru Ref(Entries);
+    uint64_t RefAccesses = 0, RefMisses = 0;
+    // Two page universes mixed: a hot set that mostly fits (hits, MRU
+    // runs) and a wide one 3x the capacity (misses, tombstones, and
+    // with them rebuilds).
+    const uint64_t Hot = Entries / 2 + 1, Wide = 3 * Entries + 5;
+    SplitMix64 Rng(0x71b0 + Entries);
+    uint64_t LastPage = 0;
+    auto NextPage = [&] {
+      uint64_t R = Rng.nextBelow(8);
+      if (R < 2)
+        return LastPage; // Same-page run: the MRU filter.
+      LastPage = R < 5 ? Rng.nextBelow(Hot) : Rng.nextBelow(Wide);
+      return LastPage;
+    };
+    auto Addr = [&](uint64_t Page) {
+      return Page * PageBytes + Rng.nextBelow(PageBytes);
+    };
+    for (unsigned Step = 0; Step != 6000; ++Step) {
+      SCOPED_TRACE("step " + std::to_string(Step));
+      uint64_t Page = NextPage();
+      switch (Rng.nextBelow(5)) {
+      case 0: { // Demand access.
+        bool RefHit = Ref.touch(Page);
+        ++RefAccesses;
+        RefMisses += !RefHit;
+        ASSERT_EQ(T.access(Addr(Page)), RefHit);
+        break;
+      }
+      case 1: // Priming fill.
+        Ref.touch(Page);
+        T.fill(Addr(Page));
+        break;
+      case 2: // Pure probe.
+        ASSERT_EQ(T.contains(Addr(Page)), Ref.contains(Page));
+        break;
+      case 3: { // Replay fast path: peek, then commit or fall back.
+        size_t Slot = T.peekHit(Addr(Page));
+        ASSERT_EQ(Slot != Tlb::NoSlot, Ref.contains(Page));
+        bool RefHit = Ref.touch(Page);
+        ++RefAccesses;
+        RefMisses += !RefHit;
+        if (Slot != Tlb::NoSlot)
+          T.commitHit(Slot);
+        else
+          ASSERT_FALSE(T.access(Addr(Page)));
+        break;
+      }
+      case 4: { // A block of cursor commits, as MemorySystem::consume.
+        Tlb::BlockCursor Cur(T);
+        for (unsigned K = 0, E = 1 + Rng.nextBelow(16); K != E; ++K) {
+          uint64_t P = NextPage();
+          bool RefHit = Ref.touch(P);
+          ++RefAccesses;
+          RefMisses += !RefHit;
+          size_t Slot = Cur.peekHit(Addr(P));
+          ASSERT_EQ(Slot != Tlb::NoSlot, RefHit);
+          if (Slot != Tlb::NoSlot) {
+            Cur.commitHit(Slot);
+            continue;
+          }
+          Cur.flush();
+          ASSERT_FALSE(T.access(Addr(P)));
+          Cur.reload();
+        }
+        Cur.flush();
+        break;
+      }
+      }
+      ASSERT_EQ(T.demandAccesses(), RefAccesses);
+      ASSERT_EQ(T.demandMisses(), RefMisses);
+      for (uint64_t P = 0; P != Wide; ++P)
+        ASSERT_EQ(T.contains(P * PageBytes), Ref.contains(P)) << "page " << P;
+    }
+    EXPECT_GT(T.demandMisses(), 4u * Entries);
+    EXPECT_GT(T.rebuilds(), 0u);
+  }
 }
 
 TEST(HwPrefetcherTest, ConfirmedStreamEmitsNextLines) {
