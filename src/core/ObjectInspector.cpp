@@ -1,11 +1,22 @@
 //===- core/ObjectInspector.cpp -------------------------------------------===//
+///
+/// Object inspection is a step loop over the same decoded ops the
+/// execution engine runs (ir/Decode.h), with a register file of lattice
+/// values instead of raw slots and every side effect redirected. The
+/// inspected method and the callees FollowCalls steps into share one loop;
+/// each activation carries its policy in its depth (see Frame).
+///
+//===----------------------------------------------------------------------===//
 
 #include "core/ObjectInspector.h"
 
+#include "ir/Decode.h"
 #include "ir/Semantics.h"
 #include "obs/DecisionLog.h"
 #include "support/ErrorHandling.h"
 #include "support/FaultInjection.h"
+
+#include <algorithm>
 
 using namespace spf;
 using namespace spf::core;
@@ -26,32 +37,35 @@ struct IVal {
 /// real heap address so the two can never collide.
 constexpr vm::Addr PrivateHeapBase = 0x4000000000ull;
 
+/// One activation. The inspected method runs at depth 0: it records
+/// addresses, resolves unknown branches with pickUnknownBranch, caps loops
+/// relative to the target, and ends inspection when it returns. A callee
+/// (depth >= 1) takes the false edge of an unknown branch, runs each loop
+/// at most PreLoopCap iterations per entry, and hands its value back.
+struct Frame {
+  const DecodedMethod *D;
+  const analysis::LoopInfo *LI;
+  unsigned Depth;
+  /// Caller slot that receives the result (NoSlot when none).
+  uint32_t RetDst;
+  uint32_t PC = 0;
+  BasicBlock *Block;
+  std::vector<IVal> Regs;
+  /// Iterations of each loop since it was last entered from outside.
+  std::unordered_map<const analysis::Loop *, unsigned> Iter;
+};
+
 class InspectRun {
 public:
   InspectRun(const vm::Heap &Heap, const analysis::LoopInfo &LI,
-             const InspectorOptions &Opts, Method *M,
-             const std::vector<uint64_t> &Args, analysis::Loop *Target,
+             const InspectorOptions &Opts, Method *M, analysis::Loop *Target,
              const LoadDependenceGraph &Graph)
-      : Heap(Heap), LI(LI), Opts(Opts), M(M), Target(Target), Graph(Graph) {
-    M->renumber();
-    unsigned NumValues = M->numArgs();
-    for (const auto &BB : M->blocks())
-      NumValues += BB->size();
-    Regs.assign(NumValues, IVal::unknown());
-    for (unsigned I = 0, E = M->numArgs(); I != E; ++I)
-      if (I < Args.size())
-        Regs[M->arg(I)->id()] = IVal::known(Args[I]);
-  }
+      : Heap(Heap), LI(LI), Opts(Opts), Target(Target), Graph(Graph),
+        TargetCode(decode(M)) {}
 
-  InspectionResult run();
+  InspectionResult run(const std::vector<uint64_t> &Args);
 
 private:
-  IVal eval(const std::vector<IVal> &Regs, const Value *V) const {
-    if (const auto *C = dyn_cast<Constant>(V))
-      return IVal::known(C->raw());
-    return Regs[V->id()];
-  }
-
   bool isPrivate(vm::Addr A) const { return A >= PrivateHeapBase; }
 
   /// An injected failure of a real-heap read during inspection: the
@@ -101,40 +115,47 @@ private:
     return IVal::unknown();
   }
 
-  IVal evalBinary(const std::vector<IVal> &Regs, const BinaryInst *B);
-  IVal evalConv(const std::vector<IVal> &Regs, const ConvInst *C);
-  std::optional<vm::Addr> loadAddress(const std::vector<IVal> &Regs,
-                                      const Instruction *I);
+  std::optional<vm::Addr> loadAddress(const Op &O, const IVal *R) const;
   void recordAddress(const Instruction *I, vm::Addr A);
   vm::Addr privateAlloc(uint64_t Size);
 
-  BasicBlock *pickUnknownBranch(BasicBlock *BB, const BranchInst *Br);
-  IVal interpretCall(Method *Callee, const std::vector<IVal> &Args,
-                     unsigned Depth);
-  bool edgeAllowed(BasicBlock *From, BasicBlock *To);
-  void onBlockEntered(BasicBlock *From, BasicBlock *To, bool &Stop);
+  void pushFrame(const DecodedMethod &D, const analysis::LoopInfo &FrameLI,
+                 unsigned Depth, const std::vector<IVal> &Args,
+                 uint32_t RetDst);
+  /// Returns \p V from the innermost (callee) frame to its caller.
+  void popFrame(IVal V);
+  /// Malformed IR: degrades the inspection. True when it ends.
+  bool degrade(const Op &O);
+
+  BasicBlock *pickUnknownBranch(const BranchInst *Br);
+  std::optional<unsigned> capFor(const Frame &F,
+                                 const analysis::Loop *L) const;
+  bool edgeAllowed(const Frame &F, BasicBlock *From, BasicBlock *To) const;
+  void onBlockEntered(Frame &F, BasicBlock *From, BasicBlock *To, bool &Stop);
+  /// Moves the innermost frame along edge \p EdgeIdx into \p To. True when
+  /// entering \p To ends inspection.
+  bool takeEdge(uint32_t EdgeIdx, BasicBlock *To);
 
   const vm::Heap &Heap;
   const analysis::LoopInfo &LI;
   const InspectorOptions &Opts;
-  Method *M;
   analysis::Loop *Target;
   const LoadDependenceGraph &Graph;
+  std::unique_ptr<DecodedMethod> TargetCode;
 
-  std::vector<IVal> Regs;
+  std::vector<Frame> Frames;
   std::unordered_map<vm::Addr, IVal> Shadow;
   vm::Addr PrivateTop = PrivateHeapBase;
 
-  /// Iterations of each loop since it was last entered from outside.
-  std::unordered_map<const analysis::Loop *, unsigned> IterThisEntry;
-
-  /// Loop analyses for callees stepped into by FollowCalls.
+  /// Decoded form and loop analyses of each callee FollowCalls stepped
+  /// into, built on its first call.
   struct CalleeInfo {
     analysis::DominatorTree DT;
     analysis::LoopInfo LI;
-    explicit CalleeInfo(Method *M) : DT(M), LI(M, DT) {}
+    std::unique_ptr<DecodedMethod> Code;
+    explicit CalleeInfo(Method *M) : DT(M), LI(M, DT), Code(decode(M)) {}
   };
-  std::unordered_map<Method *, std::unique_ptr<CalleeInfo>> CalleeAnalyses;
+  std::unordered_map<Method *, std::unique_ptr<CalleeInfo>> Callees;
 
   InspectionResult Result;
   unsigned CurrentIteration = 0;
@@ -142,53 +163,32 @@ private:
 
 } // namespace
 
-IVal InspectRun::evalBinary(const std::vector<IVal> &Regs,
-                            const BinaryInst *B) {
-  IVal L = eval(Regs, B->lhs()), R = eval(Regs, B->rhs());
-  if (!L.Known || !R.Known)
-    return IVal::unknown();
-  std::optional<uint64_t> V =
-      sem::evalBinary(B->binOp(), B->lhs()->type(), L.Raw, R.Raw);
-  return V ? IVal::known(*V) : IVal::unknown();
-}
-
-IVal InspectRun::evalConv(const std::vector<IVal> &Regs,
-                          const ConvInst *C) {
-  IVal S = eval(Regs, C->src());
-  if (!S.Known)
-    return IVal::unknown();
-  return IVal::known(sem::evalConv(C->convOp(), S.Raw));
-}
-
 /// Computes the memory address a heap load will access, when known.
-std::optional<vm::Addr>
-InspectRun::loadAddress(const std::vector<IVal> &Regs, const Instruction *I) {
-  if (const auto *G = dyn_cast<GetFieldInst>(I)) {
-    IVal Obj = eval(Regs, G->object());
-    if (!Obj.Known || !Obj.Raw)
+std::optional<vm::Addr> InspectRun::loadAddress(const Op &O,
+                                                const IVal *R) const {
+  switch (O.K) {
+  case OpKind::GetField32:
+  case OpKind::GetField64:
+    if (!R[O.A].Known || !R[O.A].Raw)
       return std::nullopt;
-    return Obj.Raw + G->field()->Offset;
-  }
-  if (const auto *A = dyn_cast<ALoadInst>(I)) {
-    IVal Arr = eval(Regs, A->array());
-    IVal Idx = eval(Regs, A->index());
-    if (!Arr.Known || !Arr.Raw || !Idx.Known)
+    return R[O.A].Raw + static_cast<uint64_t>(O.Imm);
+  case OpKind::ALoad32:
+  case OpKind::ALoad64: {
+    if (!R[O.A].Known || !R[O.A].Raw || !R[O.B].Known)
       return std::nullopt;
-    int64_t Index = static_cast<int64_t>(Idx.Raw);
+    int64_t Index = static_cast<int64_t>(R[O.B].Raw);
     if (Index < 0)
       return std::nullopt;
-    return Arr.Raw + vm::ObjectHeaderSize +
-           static_cast<uint64_t>(Index) * ir::storageSize(A->type());
+    return R[O.A].Raw + vm::ObjectHeaderSize +
+           static_cast<uint64_t>(Index) * static_cast<uint64_t>(O.Imm);
   }
-  if (const auto *L = dyn_cast<ArrayLengthInst>(I)) {
-    IVal Arr = eval(Regs, L->array());
-    if (!Arr.Known || !Arr.Raw)
+  case OpKind::ArrayLength:
+    if (!R[O.A].Known || !R[O.A].Raw)
       return std::nullopt;
-    return Arr.Raw + vm::ArrayLengthOffset;
+    return R[O.A].Raw + vm::ArrayLengthOffset;
+  default: // GetStatic.
+    return static_cast<vm::Addr>(O.Imm);
   }
-  if (const auto *S = dyn_cast<GetStaticInst>(I))
-    return S->variable()->Address;
-  return std::nullopt;
 }
 
 void InspectRun::recordAddress(const Instruction *I, vm::Addr A) {
@@ -208,13 +208,54 @@ vm::Addr InspectRun::privateAlloc(uint64_t Size) {
   return A;
 }
 
+void InspectRun::pushFrame(const DecodedMethod &D,
+                           const analysis::LoopInfo &FrameLI, unsigned Depth,
+                           const std::vector<IVal> &Args, uint32_t RetDst) {
+  Frame F{&D, &FrameLI, Depth, RetDst, 0, D.M->entry(), {}, {}};
+  // The copied frame: arguments (value ids 0..n-1) and the preloaded
+  // constants; every other slot starts unknown.
+  F.Regs.assign(D.NumSlots, IVal::unknown());
+  for (size_t I = 0, E = std::min<size_t>(Args.size(), D.M->numArgs()); I != E;
+       ++I)
+    F.Regs[I] = Args[I];
+  for (size_t I = 0; I != D.Consts.size(); ++I)
+    F.Regs[D.NumValues + 1 + I] = IVal::known(D.Consts[I]);
+  Frames.push_back(std::move(F));
+}
+
+void InspectRun::popFrame(IVal V) {
+  uint32_t Dst = Frames.back().RetDst;
+  Frames.pop_back();
+  if (Dst != NoSlot)
+    Frames.back().Regs[Dst] = V;
+}
+
+/// A broken input must degrade to "no prefetch for this loop", never kill
+/// the JIT. In a callee the call yields `unknown` and the caller goes on;
+/// in the inspected method the trace is discarded and inspection ends.
+bool InspectRun::degrade(const Op &O) {
+  const Frame &F = Frames.back();
+  Result.Degraded = true;
+  Result.DegradeReason =
+      std::string("malformed IR: ") + (F.Depth ? "callee " : "") +
+      (O.Imm == FellOff ? "block without terminator"
+                        : "phi without input for predecessor");
+  if (auto *DL = obs::DecisionScope::current())
+    DL->event("inspect", "degrade-origin",
+              F.Depth ? "" : "@" + F.Block->name(), Result.DegradeReason);
+  if (F.Depth) {
+    popFrame(IVal::unknown());
+    return false;
+  }
+  Result.Trace.clear();
+  return true;
+}
+
 /// Chooses a successor for a branch whose condition is unknown. Preference
 /// order: stay inside the target loop; then prefer the shallower-nested
 /// successor (progress outer levels rather than re-running inner loops);
 /// then the false edge.
-BasicBlock *InspectRun::pickUnknownBranch(BasicBlock *BB,
-                                          const BranchInst *Br) {
-  (void)BB;
+BasicBlock *InspectRun::pickUnknownBranch(const BranchInst *Br) {
   BasicBlock *T = Br->trueSuccessor();
   BasicBlock *F = Br->falseSuccessor();
 
@@ -233,60 +274,68 @@ BasicBlock *InspectRun::pickUnknownBranch(BasicBlock *BB,
   return F;
 }
 
+/// The per-entry iteration cap of \p L in frame \p F, or none for a loop
+/// that runs freely: the target is counted separately, and loops enclosing
+/// it only execute until the target is reached. Inside a callee every
+/// loop follows the pre-target rule.
+std::optional<unsigned> InspectRun::capFor(const Frame &F,
+                                           const analysis::Loop *L) const {
+  if (F.Depth)
+    return Opts.PreLoopCap;
+  if (L == Target || L->contains(Target->header()))
+    return std::nullopt;
+  return Target->contains(L->header()) ? Opts.InnerLoopCap : Opts.PreLoopCap;
+}
+
 /// Returns false when taking From -> To would keep iterating a capped
 /// loop beyond its per-entry budget. Two cases matter: (a) a back edge
 /// re-entering the header of a capped loop, and (b) the header of an
 /// over-budget loop branching back into its own body (the common rotated
 /// form where the back edge itself is an unconditional jump).
-bool InspectRun::edgeAllowed(BasicBlock *From, BasicBlock *To) {
-  auto CapFor = [this](const analysis::Loop *L) {
-    return Target->contains(L->header()) ? Opts.InnerLoopCap
-                                         : Opts.PreLoopCap;
-  };
-  auto IsCapped = [this](const analysis::Loop *L) {
-    // The target is counted separately; enclosing loops run freely (they
-    // only execute until the target is reached).
-    return L != Target && !L->contains(Target->header());
-  };
-  auto Count = [this](const analysis::Loop *L) {
-    auto It = IterThisEntry.find(L);
-    return It == IterThisEntry.end() ? 0u : It->second;
+bool InspectRun::edgeAllowed(const Frame &F, BasicBlock *From,
+                             BasicBlock *To) const {
+  auto Count = [&F](const analysis::Loop *L) {
+    auto It = F.Iter.find(L);
+    return It == F.Iter.end() ? 0u : It->second;
   };
 
   // (a) Back edge into a capped header.
-  analysis::Loop *LTo = LI.loopFor(To);
-  if (LTo && LTo->header() == To && LTo->contains(From) && IsCapped(LTo) &&
-      Count(LTo) >= CapFor(LTo))
-    return false;
+  analysis::Loop *LTo = F.LI->loopFor(To);
+  if (LTo && LTo->header() == To && LTo->contains(From))
+    if (auto Cap = capFor(F, LTo); Cap && Count(LTo) >= *Cap)
+      return false;
 
   // (b) Header of an over-budget loop continuing inside the loop.
-  analysis::Loop *LFrom = LI.loopFor(From);
-  if (LFrom && LFrom->header() == From && LFrom->contains(To) &&
-      IsCapped(LFrom) && Count(LFrom) > CapFor(LFrom))
-    return false;
+  analysis::Loop *LFrom = F.LI->loopFor(From);
+  if (LFrom && LFrom->header() == From && LFrom->contains(To))
+    if (auto Cap = capFor(F, LFrom); Cap && Count(LFrom) > *Cap)
+      return false;
 
   return true;
 }
 
-/// Bookkeeping when control moves to \p To: loop iteration counting,
-/// target-loop iteration limit, trip statistics.
-void InspectRun::onBlockEntered(BasicBlock *From, BasicBlock *To,
+/// Bookkeeping when control moves to \p To: loop iteration counting and,
+/// in the inspected method, the target-loop iteration limit and trip
+/// statistics.
+void InspectRun::onBlockEntered(Frame &F, BasicBlock *From, BasicBlock *To,
                                 bool &Stop) {
   // Leaving the target loop after having reached it ends inspection.
-  if (Result.ReachedTarget && !Target->contains(To)) {
+  if (!F.Depth && Result.ReachedTarget && !Target->contains(To)) {
     Result.TargetExitedEarly =
         Result.IterationsObserved < Opts.MaxIterations;
     Stop = true;
     return;
   }
 
-  analysis::Loop *L = LI.loopFor(To);
+  analysis::Loop *L = F.LI->loopFor(To);
   if (!L || L->header() != To)
     return;
 
   bool BackEdge = From && L->contains(From);
-  unsigned &Count = IterThisEntry[L];
+  unsigned &Count = F.Iter[L];
   Count = BackEdge ? Count + 1 : 1;
+  if (F.Depth)
+    return;
 
   if (Target->contains(To) && L != Target) {
     TripStats &TS = Result.SubLoopTrips[L];
@@ -305,398 +354,197 @@ void InspectRun::onBlockEntered(BasicBlock *From, BasicBlock *To,
   }
 }
 
-InspectionResult InspectRun::run() {
-  BasicBlock *BB = M->entry();
-  BasicBlock *PrevBB = nullptr;
+bool InspectRun::takeEdge(uint32_t EdgeIdx, BasicBlock *To) {
+  Frame &F = Frames.back();
   bool Stop = false;
-
-  onBlockEntered(nullptr, BB, Stop);
-
-  std::vector<std::pair<unsigned, IVal>> PhiUpdates;
-
-  while (!Stop) {
-    if (PrevBB) {
-      PhiUpdates.clear();
-      for (const auto &IP : BB->instructions()) {
-        auto *Phi = dyn_cast<PhiInst>(IP.get());
-        if (!Phi)
-          break;
-        Value *In = Phi->valueFor(PrevBB);
-        PhiUpdates.emplace_back(Phi->id(),
-                                In ? eval(Regs, In) : IVal::unknown());
-      }
-      for (const auto &[Id, V] : PhiUpdates)
-        Regs[Id] = V;
-    }
-
-    BasicBlock *NextBB = nullptr;
-
-    for (const auto &IP : BB->instructions()) {
-      Instruction *I = IP.get();
-      if (isa<PhiInst>(I))
-        continue;
-
-      if (++Result.StepsUsed > Opts.StepBudget)
-        return Result; // Budget exceeded: keep what we have.
-
-      switch (I->opcode()) {
-      case Opcode::Binary:
-        Regs[I->id()] = evalBinary(Regs, cast<BinaryInst>(I));
-        break;
-      case Opcode::Conv:
-        Regs[I->id()] = evalConv(Regs, cast<ConvInst>(I));
-        break;
-
-      case Opcode::GetField:
-      case Opcode::GetStatic:
-      case Opcode::ALoad:
-      case Opcode::ArrayLength: {
-        auto AddrOpt = loadAddress(Regs, I);
-        if (!AddrOpt) {
-          Regs[I->id()] = IVal::unknown();
-          break;
-        }
-        vm::Addr A = *AddrOpt;
-        if (Graph.nodeFor(I))
-          recordAddress(I, A);
-        if (I->opcode() == Opcode::ArrayLength) {
-          auto *AL = cast<ArrayLengthInst>(I);
-          Regs[I->id()] = arrayLengthOf(eval(Regs, AL->array()).Raw);
-        } else {
-          Regs[I->id()] = loadMem(A, I->type());
-        }
-        break;
-      }
-
-      case Opcode::PutField: {
-        auto *P = cast<PutFieldInst>(I);
-        IVal Obj = eval(Regs, P->object());
-        if (Obj.Known && Obj.Raw)
-          storeMem(Obj.Raw + P->field()->Offset, eval(Regs, P->value()));
-        break;
-      }
-      case Opcode::PutStatic: {
-        auto *P = cast<PutStaticInst>(I);
-        storeMem(P->variable()->Address, eval(Regs, P->value()));
-        break;
-      }
-      case Opcode::AStore: {
-        auto *S = cast<AStoreInst>(I);
-        IVal Arr = eval(Regs, S->array());
-        IVal Idx = eval(Regs, S->index());
-        if (Arr.Known && Arr.Raw && Idx.Known) {
-          vm::Addr A = Arr.Raw + vm::ObjectHeaderSize +
-                       Idx.Raw * ir::storageSize(S->value()->type());
-          storeMem(A, eval(Regs, S->value()));
-        }
-        break;
-      }
-
-      case Opcode::NewObject: {
-        auto *N = cast<NewObjectInst>(I);
-        vm::Addr A = privateAlloc(N->objectClass()->instanceSize());
-        Regs[I->id()] = IVal::known(A);
-        break;
-      }
-      case Opcode::NewArray: {
-        auto *N = cast<NewArrayInst>(I);
-        IVal Len = eval(Regs, N->length());
-        uint64_t Elems = Len.Known ? Len.Raw : 64;
-        vm::Addr A = privateAlloc(vm::ObjectHeaderSize +
-                                  Elems *
-                                      ir::storageSize(N->elementType()));
-        if (Len.Known)
-          storeMem(A + vm::ArrayLengthOffset, Len);
-        Regs[I->id()] = IVal::known(A);
-        break;
-      }
-
-      case Opcode::Call: {
-        // By default: "we interpret a method invocation by simply
-        // skipping it and assuming that the return value, if any, is
-        // unknown." With FollowCalls (the paper's discussed extension)
-        // non-recursive callees are stepped into.
-        auto *C = cast<CallInst>(I);
-        IVal R = IVal::unknown();
-        if (Opts.FollowCalls && C->callee() && !C->callee()->isNative()) {
-          std::vector<IVal> CallArgs;
-          for (Value *Op : C->operands())
-            CallArgs.push_back(eval(Regs, Op));
-          R = interpretCall(C->callee(), CallArgs, /*Depth=*/1);
-        }
-        if (I->type() != Type::Void)
-          Regs[I->id()] = R;
-        break;
-      }
-
-      case Opcode::Prefetch:
-        break; // Already-optimized inner loops: prefetches are no-ops.
-      case Opcode::SpecLoad: {
-        auto *S = cast<SpecLoadInst>(I);
-        IVal Base = eval(Regs, S->base());
-        IVal Idx = S->index() ? eval(Regs, S->index()) : IVal::known(0);
-        if (Base.Known && Idx.Known) {
-          vm::Addr A = Base.Raw + S->displacement() +
-                       Idx.Raw * static_cast<uint64_t>(S->scale());
-          Regs[I->id()] = loadMem(A, Type::Ref);
-        } else {
-          Regs[I->id()] = IVal::unknown();
-        }
-        break;
-      }
-
-      case Opcode::Phi:
-        break;
-
-      case Opcode::Branch: {
-        auto *Br = cast<BranchInst>(I);
-        IVal Cond = eval(Regs, Br->condition());
-        BasicBlock *Taken;
-        if (Cond.Known)
-          Taken = Cond.Raw ? Br->trueSuccessor() : Br->falseSuccessor();
-        else
-          Taken = pickUnknownBranch(BB, Br);
-
-        // Respect per-entry loop caps: if the chosen edge would re-enter a
-        // capped loop, take the other side when possible.
-        if (!edgeAllowed(BB, Taken)) {
-          BasicBlock *Other = Taken == Br->trueSuccessor()
-                                  ? Br->falseSuccessor()
-                                  : Br->trueSuccessor();
-          if (edgeAllowed(BB, Other))
-            Taken = Other;
-        }
-        NextBB = Taken;
-        break;
-      }
-      case Opcode::Jump:
-        NextBB = cast<JumpInst>(I)->target();
-        break;
-      case Opcode::Ret:
-        return Result;
-      }
-
-      if (NextBB)
-        break;
-    }
-
-    if (!NextBB) {
-      // Malformed IR (block without a terminator): a broken input must
-      // degrade to "no prefetch for this loop", never kill the JIT.
-      Result.Degraded = true;
-      Result.DegradeReason = "malformed IR: block without terminator";
-      if (auto *DL = obs::DecisionScope::current())
-        DL->event("inspect", "degrade-origin", BB ? "@" + BB->name() : "",
-                  Result.DegradeReason);
-      Result.Trace.clear();
-      return Result;
-    }
-    onBlockEntered(BB, NextBB, Stop);
-    PrevBB = BB;
-    BB = NextBB;
-  }
-  return Result;
+  onBlockEntered(F, F.Block, To, Stop);
+  if (Stop)
+    return true;
+  const DecodedMethod::Edge &E = F.D->Edges[EdgeIdx];
+  for (uint32_t Mv = E.MovesBegin; Mv != E.MovesEnd; ++Mv)
+    F.Regs[F.D->Moves[Mv].first] = F.Regs[F.D->Moves[Mv].second];
+  F.PC = E.Target;
+  F.Block = To;
+  return false;
 }
 
-/// Inter-procedural inspection: executes \p Callee with the given
-/// argument lattice values, sharing the store buffer, private heap, and
-/// step budget. Callee loops run one iteration (the pre-target rule
-/// generalized); unknown branches take the false edge; recursion is
-/// depth-limited. Returns the callee's result lattice value.
-IVal InspectRun::interpretCall(Method *Callee,
-                               const std::vector<IVal> &Args,
-                               unsigned Depth) {
-  if (Depth > Opts.MaxCallDepth || Callee->numBlocks() == 0)
-    return IVal::unknown();
+InspectionResult InspectRun::run(const std::vector<uint64_t> &Args) {
+  std::vector<IVal> ArgVals;
+  for (uint64_t A : Args)
+    ArgVals.push_back(IVal::known(A));
+  pushFrame(*TargetCode, LI, /*Depth=*/0, ArgVals, NoSlot);
+  bool Stop = false;
+  onBlockEntered(Frames.back(), nullptr, Frames.back().Block, Stop);
 
-  Callee->renumber();
-  unsigned NumValues = Callee->numArgs();
-  for (const auto &BB : Callee->blocks())
-    NumValues += BB->size();
-  std::vector<IVal> Regs(NumValues, IVal::unknown());
-  for (unsigned I = 0, E = Callee->numArgs(); I != E; ++I)
-    if (I < Args.size())
-      Regs[Callee->arg(I)->id()] = Args[I];
-
-  // Per-callee loop info (cached across calls within one inspection).
-  auto &Analyses = CalleeAnalyses[Callee];
-  if (!Analyses) {
-    Callee->recomputePreds();
-    Analyses = std::make_unique<CalleeInfo>(Callee);
-  }
-  const analysis::LoopInfo &CLI = Analyses->LI;
-
-  std::unordered_map<const analysis::Loop *, unsigned> Iter;
-  BasicBlock *BB = Callee->entry();
-  const BasicBlock *PrevBB = nullptr;
-  std::vector<std::pair<unsigned, IVal>> PhiUpdates;
-
-  while (true) {
-    if (PrevBB) {
-      PhiUpdates.clear();
-      for (const auto &IP : BB->instructions()) {
-        auto *Phi = dyn_cast<PhiInst>(IP.get());
-        if (!Phi)
-          break;
-        Value *In = Phi->valueFor(PrevBB);
-        PhiUpdates.emplace_back(Phi->id(),
-                                In ? eval(Regs, In) : IVal::unknown());
-      }
-      for (const auto &[Id, V] : PhiUpdates)
-        Regs[Id] = V;
+  while (!Stop) {
+    Frame &F = Frames.back();
+    const Op &O = F.D->Ops[F.PC++];
+    if (O.K == OpKind::TrapEdge) {
+      // Malformed IR: a block without a terminator, or a phi without an
+      // input for the edge just taken.
+      if (degrade(O))
+        return Result;
+      continue;
+    }
+    if (++Result.StepsUsed > Opts.StepBudget) {
+      // Budget exceeded: keep what we have. A callee hands `unknown` back
+      // and its caller stops at its next step.
+      if (!F.Depth)
+        return Result;
+      popFrame(IVal::unknown());
+      continue;
     }
 
-    BasicBlock *NextBB = nullptr;
-    for (const auto &IP : BB->instructions()) {
-      Instruction *I = IP.get();
-      if (isa<PhiInst>(I))
-        continue;
-      if (++Result.StepsUsed > Opts.StepBudget)
-        return IVal::unknown();
+    IVal *R = F.Regs.data();
+    if (isArithmetic(O.K)) {
+      // The operands come from the registers, the operation from the IR.
+      IVal L = R[O.A];
+      IVal Rhs = O.B != NoSlot ? R[O.B] : IVal::known(0);
+      std::optional<uint64_t> V;
+      if (L.Known && Rhs.Known) {
+        if (const auto *B = dyn_cast<BinaryInst>(O.I))
+          V = sem::evalBinary(B->binOp(), B->lhs()->type(), L.Raw, Rhs.Raw);
+        else
+          V = sem::evalConv(cast<ConvInst>(O.I)->convOp(), L.Raw);
+      }
+      R[O.Dst] = V ? IVal::known(*V) : IVal::unknown();
+      continue;
+    }
 
-      switch (I->opcode()) {
-      case Opcode::Binary:
-        Regs[I->id()] = evalBinary(Regs, cast<BinaryInst>(I));
-        break;
-      case Opcode::Conv:
-        Regs[I->id()] = evalConv(Regs, cast<ConvInst>(I));
-        break;
-      case Opcode::GetField:
-      case Opcode::GetStatic:
-      case Opcode::ALoad: {
-        auto AddrOpt = loadAddress(Regs, I);
-        Regs[I->id()] =
-            AddrOpt ? loadMem(*AddrOpt, I->type()) : IVal::unknown();
+    switch (O.K) {
+    case OpKind::GetField32:
+    case OpKind::GetField64:
+    case OpKind::GetStatic32:
+    case OpKind::GetStatic64:
+    case OpKind::ALoad32:
+    case OpKind::ALoad64:
+    case OpKind::ArrayLength: {
+      std::optional<vm::Addr> A = loadAddress(O, R);
+      if (!A) {
+        R[O.Dst] = IVal::unknown();
         break;
       }
-      case Opcode::ArrayLength: {
-        IVal Arr = eval(Regs, cast<ArrayLengthInst>(I)->array());
-        Regs[I->id()] = (Arr.Known && Arr.Raw) ? arrayLengthOf(Arr.Raw)
-                                               : IVal::unknown();
-        break;
-      }
-      case Opcode::PutField: {
-        auto *P = cast<PutFieldInst>(I);
-        IVal Obj = eval(Regs, P->object());
-        if (Obj.Known && Obj.Raw)
-          storeMem(Obj.Raw + P->field()->Offset, eval(Regs, P->value()));
-        break;
-      }
-      case Opcode::PutStatic: {
-        auto *P = cast<PutStaticInst>(I);
-        storeMem(P->variable()->Address, eval(Regs, P->value()));
-        break;
-      }
-      case Opcode::AStore: {
-        auto *S = cast<AStoreInst>(I);
-        IVal Arr = eval(Regs, S->array());
-        IVal Idx = eval(Regs, S->index());
-        if (Arr.Known && Arr.Raw && Idx.Known)
-          storeMem(Arr.Raw + vm::ObjectHeaderSize +
-                       Idx.Raw * ir::storageSize(S->value()->type()),
-                   eval(Regs, S->value()));
-        break;
-      }
-      case Opcode::NewObject:
-        Regs[I->id()] = IVal::known(
-            privateAlloc(cast<NewObjectInst>(I)->objectClass()
-                             ->instanceSize()));
-        break;
-      case Opcode::NewArray: {
-        auto *N = cast<NewArrayInst>(I);
-        IVal Len = eval(Regs, N->length());
-        uint64_t Elems = Len.Known ? Len.Raw : 64;
-        vm::Addr A = privateAlloc(
-            vm::ObjectHeaderSize + Elems * ir::storageSize(N->elementType()));
-        if (Len.Known)
-          storeMem(A + vm::ArrayLengthOffset, Len);
-        Regs[I->id()] = IVal::known(A);
-        break;
-      }
-      case Opcode::Call: {
-        auto *C = cast<CallInst>(I);
-        IVal R = IVal::unknown();
-        if (C->callee() && !C->callee()->isNative() &&
-            Depth < Opts.MaxCallDepth) {
-          std::vector<IVal> SubArgs;
-          for (Value *Op : C->operands())
-            SubArgs.push_back(eval(Regs, Op));
-          R = interpretCall(C->callee(), SubArgs, Depth + 1);
+      if (!F.Depth && Graph.nodeFor(O.I))
+        recordAddress(O.I, *A);
+      if (O.K == OpKind::ArrayLength)
+        R[O.Dst] = arrayLengthOf(R[O.A].Raw);
+      else
+        R[O.Dst] = loadMem(*A, O.K == OpKind::GetField32 ||
+                                       O.K == OpKind::GetStatic32 ||
+                                       O.K == OpKind::ALoad32
+                                   ? Type::I32
+                                   : Type::I64);
+      break;
+    }
+
+    case OpKind::PutField32:
+    case OpKind::PutField64:
+      if (R[O.A].Known && R[O.A].Raw)
+        storeMem(R[O.A].Raw + static_cast<uint64_t>(O.Imm), R[O.B]);
+      break;
+    case OpKind::PutStatic32:
+    case OpKind::PutStatic64:
+      storeMem(static_cast<vm::Addr>(O.Imm), R[O.A]);
+      break;
+    case OpKind::AStore32:
+    case OpKind::AStore64:
+      if (R[O.A].Known && R[O.A].Raw && R[O.B].Known)
+        storeMem(R[O.A].Raw + vm::ObjectHeaderSize +
+                     R[O.B].Raw * static_cast<uint64_t>(O.Imm),
+                 R[O.C]);
+      break;
+
+    case OpKind::NewObject:
+      R[O.Dst] = IVal::known(privateAlloc(
+          cast<NewObjectInst>(O.I)->objectClass()->instanceSize()));
+      break;
+    case OpKind::NewArray: {
+      IVal Len = R[O.A];
+      uint64_t Elems = Len.Known ? Len.Raw : 64;
+      vm::Addr A = privateAlloc(
+          vm::ObjectHeaderSize +
+          Elems * ir::storageSize(cast<NewArrayInst>(O.I)->elementType()));
+      if (Len.Known)
+        storeMem(A + vm::ArrayLengthOffset, Len);
+      R[O.Dst] = IVal::known(A);
+      break;
+    }
+
+    case OpKind::Call: {
+      // By default: "we interpret a method invocation by simply skipping
+      // it and assuming that the return value, if any, is unknown." With
+      // FollowCalls (the paper's discussed extension) callees are stepped
+      // into, sharing the store buffer, private heap and step budget, up
+      // to MaxCallDepth deep.
+      const DecodedMethod::CallSite &CS = F.D->Calls[O.A];
+      if (Opts.FollowCalls && !CS.Callee->isNative() &&
+          F.Depth < Opts.MaxCallDepth && CS.Callee->numBlocks() != 0) {
+        std::vector<IVal> CallArgs;
+        for (uint32_t I = 0; I != CS.NumArgs; ++I)
+          CallArgs.push_back(R[F.D->ArgSlots[CS.ArgsBegin + I]]);
+        auto &Info = Callees[CS.Callee];
+        if (!Info) {
+          CS.Callee->recomputePreds();
+          Info = std::make_unique<CalleeInfo>(CS.Callee);
         }
-        if (I->type() != Type::Void)
-          Regs[I->id()] = R;
+        pushFrame(*Info->Code, Info->LI, F.Depth + 1, CallArgs, O.Dst);
         break;
       }
-      case Opcode::Prefetch:
-      case Opcode::Phi:
-        break;
-      case Opcode::SpecLoad: {
-        auto *S = cast<SpecLoadInst>(I);
-        IVal Base = eval(Regs, S->base());
-        IVal Idx = S->index() ? eval(Regs, S->index()) : IVal::known(0);
-        Regs[I->id()] =
-            (Base.Known && Idx.Known)
-                ? loadMem(Base.Raw + S->displacement() +
-                              Idx.Raw * static_cast<uint64_t>(S->scale()),
-                          Type::Ref)
-                : IVal::unknown();
-        break;
-      }
-      case Opcode::Branch: {
-        auto *Br = cast<BranchInst>(I);
-        IVal Cond = eval(Regs, Br->condition());
-        BasicBlock *Taken = Cond.Known
-                                ? (Cond.Raw ? Br->trueSuccessor()
-                                            : Br->falseSuccessor())
-                                : Br->falseSuccessor();
-        // Callee loops follow the generalized pre-target rule: one
-        // iteration per entry, then force the exit edge when possible.
-        auto OverBudget = [&](BasicBlock *To) {
-          analysis::Loop *L = CLI.loopFor(To);
-          if (L && L->header() == To && L->contains(BB))
-            return Iter[L] >= Opts.PreLoopCap;
-          analysis::Loop *LF = CLI.loopFor(BB);
-          if (LF && LF->header() == BB && LF->contains(To))
-            return Iter[LF] > Opts.PreLoopCap;
-          return false;
-        };
-        if (OverBudget(Taken)) {
-          BasicBlock *Other = Taken == Br->trueSuccessor()
-                                  ? Br->falseSuccessor()
-                                  : Br->trueSuccessor();
-          if (!OverBudget(Other))
-            Taken = Other;
-        }
-        NextBB = Taken;
-        break;
-      }
-      case Opcode::Jump:
-        NextBB = cast<JumpInst>(I)->target();
-        break;
-      case Opcode::Ret: {
-        auto *R = cast<RetInst>(I);
-        return R->value() ? eval(Regs, R->value()) : IVal::unknown();
-      }
-      }
-      if (NextBB)
-        break;
+      if (O.Dst != NoSlot)
+        R[O.Dst] = IVal::unknown();
+      break;
     }
 
-    if (!NextBB) {
-      Result.Degraded = true;
-      Result.DegradeReason =
-          "malformed IR: callee block without terminator";
-      if (auto *DL = obs::DecisionScope::current())
-        DL->event("inspect", "degrade-origin", "", Result.DegradeReason);
-      return IVal::unknown();
+    case OpKind::SpecLoad: {
+      IVal Base = R[O.A], Idx = R[O.B];
+      R[O.Dst] = Base.Known && Idx.Known
+                     ? loadMem(Base.Raw + static_cast<uint64_t>(O.Imm) +
+                                   Idx.Raw * O.C,
+                               Type::Ref)
+                     : IVal::unknown();
+      break;
     }
-    // Loop iteration accounting.
-    if (analysis::Loop *L = CLI.loopFor(NextBB))
-      if (L->header() == NextBB)
-        Iter[L] = L->contains(BB) ? Iter[L] + 1 : 1;
-    PrevBB = BB;
-    BB = NextBB;
+    case OpKind::Prefetch:
+    case OpKind::GuardedPrefetch:
+      break; // Already-optimized inner loops: prefetches are no-ops.
+    case OpKind::TrapInst:
+      break; // An undefined operation or unresolved call: stays unknown.
+
+    case OpKind::Branch: {
+      const auto *Br = cast<BranchInst>(O.I);
+      IVal Cond = R[O.A];
+      BasicBlock *Taken;
+      if (Cond.Known)
+        Taken = Cond.Raw ? Br->trueSuccessor() : Br->falseSuccessor();
+      else
+        Taken = F.Depth ? Br->falseSuccessor() : pickUnknownBranch(Br);
+
+      // Respect per-entry loop caps: if the chosen edge would re-enter a
+      // capped loop, take the other side when possible.
+      if (!edgeAllowed(F, F.Block, Taken)) {
+        BasicBlock *Other = Taken == Br->trueSuccessor()
+                                ? Br->falseSuccessor()
+                                : Br->trueSuccessor();
+        if (edgeAllowed(F, F.Block, Other))
+          Taken = Other;
+      }
+      Stop = takeEdge(Taken == Br->trueSuccessor() ? O.B : O.C, Taken);
+      break;
+    }
+    case OpKind::Jump:
+      Stop = takeEdge(O.B, cast<JumpInst>(O.I)->target());
+      break;
+    case OpKind::Ret:
+      if (!F.Depth)
+        return Result;
+      popFrame(O.A != NoSlot ? R[O.A] : IVal::unknown());
+      break;
+
+    default:
+      spf_unreachable("arithmetic and trap-edge ops are handled above");
+    }
   }
+  return Result;
 }
 
 ObjectInspector::ObjectInspector(const vm::Heap &Heap,
@@ -708,6 +556,6 @@ InspectionResult ObjectInspector::inspect(Method *M,
                                           const std::vector<uint64_t> &Args,
                                           analysis::Loop *TargetLoop,
                                           const LoadDependenceGraph &Graph) {
-  InspectRun Run(Heap, LI, Opts, M, Args, TargetLoop, Graph);
-  return Run.run();
+  InspectRun Run(Heap, LI, Opts, M, TargetLoop, Graph);
+  return Run.run(Args);
 }

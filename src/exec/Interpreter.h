@@ -29,6 +29,11 @@
 #include <unordered_set>
 
 namespace spf {
+namespace ir {
+struct DecodedMethod;
+struct Op;
+} // namespace ir
+
 namespace exec {
 
 /// Nominal compute ticks charged per garbage collection pause — by the
@@ -55,7 +60,7 @@ struct ExecStats {
 ///
 /// Each method is lowered once, on its first call, into a flat decoded
 /// form (dense register slots, constants preloaded, phis lowered to moves
-/// on CFG edges; see Interpreter.cpp). Activations share one contiguous
+/// on CFG edges; see ir/Decode.h). Activations share one contiguous
 /// register stack. Memory events are appended to a fixed block and handed
 /// to the sink through AccessSink::consume(): when the block fills, before
 /// every garbage collection, and on every exit from run() — including an
@@ -159,8 +164,8 @@ public:
   void setDeadline(double Seconds);
 
 private:
-  struct Op;
-  struct DecodedMethod;
+  using DecodedMethod = ir::DecodedMethod;
+  using Op = ir::Op;
 
   /// One activation on the register stack.
   struct Frame {
@@ -180,7 +185,6 @@ private:
 
   SiteId siteOf(const ir::Instruction *I);
   DecodedMethod &decodedFor(ir::Method *M);
-  std::unique_ptr<DecodedMethod> decode(ir::Method *M);
   uint64_t execute(ir::Method *M, const std::vector<uint64_t> &Args);
   /// Activates \p M with \p Args on top of the register stack.
   void pushFrame(ir::Method *M, const std::vector<uint64_t> &Args,

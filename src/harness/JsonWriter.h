@@ -90,6 +90,12 @@ public:
 
   JsonWriter &value(unsigned V) { return value(static_cast<uint64_t>(V)); }
 
+  JsonWriter &null() {
+    separate();
+    OS << "null";
+    return *this;
+  }
+
   JsonWriter &value(bool V) {
     separate();
     OS << (V ? "true" : "false");

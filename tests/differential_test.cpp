@@ -1,21 +1,26 @@
 //===- tests/differential_test.cpp - Interpreter vs C++ oracle ------------===//
 //
 // Property tests that pit the execution engine against independently
-// written C++ evaluations:
+// written C++ evaluations, and the three IR evaluators against each other:
 //
-//  * random straight-line arithmetic programs, evaluated both by the
-//    interpreter and by a direct C++ mirror of each emitted operation;
+//  * random straight-line arithmetic programs, evaluated by a direct C++
+//    mirror of each emitted operation, by the interpreter, by the constant
+//    folder, and by object inspection (which must all agree);
 //  * random heap programs (field/array traffic) against a std::map-based
 //    memory oracle;
-//  * the paper-critical invariant: running the prefetch pass on a random
-//    strided-loop program never changes its result.
+//  * random strided loops: the addresses object inspection records for
+//    the first 20 iterations are the ones the interpreter touches, and
+//    running the prefetch pass never changes the loop's result.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/ObjectInspector.h"
 #include "core/PrefetchPass.h"
 #include "exec/Interpreter.h"
 #include "ir/Verifier.h"
+#include "opt/ConstantFolding.h"
 #include "support/SplitMix64.h"
+#include "trace/RecordingSink.h"
 #include "workloads/KernelBuilder.h"
 #include "workloads/Runner.h"
 
@@ -39,7 +44,7 @@ RandomExpr emitRandomOp(IRBuilder &B, SplitMix64 &Rng,
                         std::vector<RandomExpr> &Pool) {
   RandomExpr A = Pool[Rng.nextBelow(Pool.size())];
   RandomExpr C = Pool[Rng.nextBelow(Pool.size())];
-  switch (Rng.nextBelow(9)) {
+  switch (Rng.nextBelow(10)) {
   case 0:
     return {B.add(A.V, C.V), wrap32(int64_t(A.Oracle) + C.Oracle)};
   case 1:
@@ -51,29 +56,58 @@ RandomExpr emitRandomOp(IRBuilder &B, SplitMix64 &Rng,
   case 4:
     return {B.andOp(A.V, C.V), A.Oracle & C.Oracle};
   case 5: {
-    int32_t Sh = static_cast<int32_t>(Rng.nextBelow(5));
+    // Java masks an i32 shift count to its low five bits.
+    int32_t Sh = static_cast<int32_t>(Rng.nextBelow(40));
     return {B.shl(A.V, B.i32(Sh)),
-            wrap32(static_cast<int64_t>(A.Oracle) << Sh)};
+            wrap32(static_cast<int64_t>(A.Oracle) << (Sh & 31))};
   }
   case 6: {
-    int32_t Sh = static_cast<int32_t>(Rng.nextBelow(5));
+    int32_t Sh = static_cast<int32_t>(Rng.nextBelow(40));
     // IR shr is arithmetic over the sign-extended 64-bit slot.
-    return {B.shr(A.V, B.i32(Sh)),
-            wrap32(static_cast<int64_t>(A.Oracle) >> Sh)};
+    return {B.shr(A.V, B.i32(Sh)), A.Oracle >> (Sh & 31)};
   }
   case 7:
     return {B.cmpLt(A.V, C.V), A.Oracle < C.Oracle ? 1 : 0};
-  default: {
+  case 8: {
     if (C.Oracle == 0)
       return {B.add(A.V, C.V), wrap32(int64_t(A.Oracle) + C.Oracle)};
     return {B.rem(A.V, C.V), wrap32(int64_t(A.Oracle) % C.Oracle)};
   }
+  default: {
+    // MIN / -1 wraps to MIN instead of trapping.
+    if (C.Oracle == 0)
+      return {B.sub(A.V, C.V), wrap32(int64_t(A.Oracle) - C.Oracle)};
+    return {B.div(A.V, C.V), wrap32(int64_t(A.Oracle) / C.Oracle)};
   }
+  }
+}
+
+/// One round's random i32 program over the leaves \p X and \p Y (whose
+/// values are \p XVal and \p YVal) and a few edge constants: the last
+/// value computed and its oracle. The same \p Seed emits the same
+/// operations over any leaves.
+RandomExpr emitRandomProgram(IRBuilder &B, uint64_t Seed, Value *X,
+                             int32_t XVal, Value *Y, int32_t YVal) {
+  SplitMix64 Rng(Seed);
+  std::vector<RandomExpr> Pool = {{X, XVal},
+                                  {Y, YVal},
+                                  {B.i32(7), 7},
+                                  {B.i32(-1), -1},
+                                  {B.i32(INT32_MIN), INT32_MIN}};
+  RandomExpr Last = Pool[0];
+  unsigned Ops = 10 + static_cast<unsigned>(Rng.nextBelow(40));
+  for (unsigned I = 0; I != Ops; ++I) {
+    Last = emitRandomOp(B, Rng, Pool);
+    Pool.push_back(Last);
+    if (Pool.size() > 10)
+      Pool.erase(Pool.begin());
+  }
+  return Last;
 }
 
 TEST(DifferentialTest, RandomArithmeticMatchesOracle) {
   SplitMix64 Rng(0xabcdef12);
-  for (int Round = 0; Round != 50; ++Round) {
+  for (int Round = 0; Round != 200; ++Round) {
     vm::TypeTable Types;
     vm::HeapConfig HC;
     HC.HeapBytes = 1 << 16;
@@ -83,27 +117,64 @@ TEST(DifferentialTest, RandomArithmeticMatchesOracle) {
 
     int32_t Arg0 = static_cast<int32_t>(Rng.next());
     int32_t Arg1 = static_cast<int32_t>(Rng.next());
+    uint64_t Seed = Rng.next();
+    std::vector<uint64_t> Args = {static_cast<uint64_t>(Arg0),
+                                  static_cast<uint64_t>(Arg1)};
+
+    // The engine, on the arguments.
     Method *Fn = M.addMethod("rand", Type::I32, {Type::I32, Type::I32});
     B.setInsertPoint(Fn->addBlock("entry"));
-    std::vector<RandomExpr> Pool = {
-        {Fn->arg(0), Arg0}, {Fn->arg(1), Arg1}, {B.i32(7), 7}};
-    RandomExpr Last = Pool[0];
-    unsigned Ops = 10 + static_cast<unsigned>(Rng.nextBelow(40));
-    for (unsigned I = 0; I != Ops; ++I) {
-      Last = emitRandomOp(B, Rng, Pool);
-      Pool.push_back(Last);
-      if (Pool.size() > 10)
-        Pool.erase(Pool.begin());
-    }
+    RandomExpr Last =
+        emitRandomProgram(B, Seed, Fn->arg(0), Arg0, Fn->arg(1), Arg1);
     B.ret(Last.V);
     ASSERT_TRUE(verifyMethod(Fn));
-
     sim::MemorySystem Mem((*sim::MachineConfig::byName("pentium4")));
     exec::Interpreter Interp(Heap, Mem);
-    uint64_t Got = Interp.run(Fn, {static_cast<uint64_t>(Arg0),
-                                   static_cast<uint64_t>(Arg1)});
-    EXPECT_EQ(static_cast<int32_t>(Got), Last.Oracle)
-        << "round " << Round << " diverged";
+    int32_t Engine = static_cast<int32_t>(Interp.run(Fn, Args));
+    EXPECT_EQ(Engine, Last.Oracle) << "round " << Round << ": engine";
+
+    // The constant folder, on the same program over constant leaves.
+    Method *Folded = M.addMethod("folded", Type::I32, {});
+    B.setInsertPoint(Folded->addBlock("entry"));
+    B.ret(emitRandomProgram(B, Seed, B.i32(Arg0), Arg0, B.i32(Arg1), Arg1).V);
+    opt::foldConstants(Folded);
+    const auto *Ret = cast<RetInst>(Folded->entry()->terminator());
+    ASSERT_TRUE(isa<Constant>(Ret->value())) << "round " << Round;
+    EXPECT_EQ(static_cast<int32_t>(cast<Constant>(Ret->value())->raw()),
+              Engine)
+        << "round " << Round << ": folder";
+
+    // Object inspection, which only reveals values as addresses: the
+    // program runs ahead of a one-iteration loop that loads a[v], with
+    // v's 32 bits as a non-negative 64-bit index.
+    Method *Probe = M.addMethod("probe", Type::I32,
+                                {Type::I32, Type::I32, Type::Ref});
+    B.setInsertPoint(Probe->addBlock("entry"));
+    Value *V = emitRandomProgram(B, Seed, Probe->arg(0), Arg0, Probe->arg(1),
+                                 Arg1)
+                   .V;
+    Value *Index = B.andOp(B.conv(ConvInst::ConvOp::SExt32To64, V),
+                           B.i64(0xFFFFFFFFll));
+    workloads::LoopNest L(B, "i");
+    PhiInst *I = L.civ(B.i32(0));
+    L.beginBody(B.cmpLt(I, B.i32(1)));
+    auto *Load = cast<Instruction>(B.aload(Probe->arg(2), Index, Type::I32));
+    L.close();
+    B.ret(B.i32(0));
+    Probe->recomputePreds();
+    analysis::DominatorTree DT(Probe);
+    analysis::LoopInfo LI(Probe, DT);
+    core::LoadDependenceGraph G(LI.topLevelLoops()[0], LI);
+    ASSERT_TRUE(G.nodeFor(Load));
+    const vm::Addr Arr = Heap.heapBase();
+    core::ObjectInspector Insp(Heap, LI);
+    core::InspectionResult R =
+        Insp.inspect(Probe, {Args[0], Args[1], Arr}, LI.topLevelLoops()[0], G);
+    ASSERT_EQ(R.Trace.count(Load), 1u) << "round " << Round;
+    vm::Addr A = R.Trace.at(Load).front().Address;
+    EXPECT_EQ(static_cast<int32_t>((A - Arr - vm::ObjectHeaderSize) / 4),
+              Engine)
+        << "round " << Round << ": inspector";
   }
 }
 
@@ -160,8 +231,9 @@ TEST(DifferentialTest, RandomHeapTrafficMatchesMapOracle) {
 }
 
 /// Random strided-loop programs: arrays of objects with random pitches
-/// and field sets, a loop summing random fields. The prefetch pass (in
-/// every mode, on both machine parameterizations) must preserve results.
+/// and field sets, a loop summing random fields. Inspection must see the
+/// engine's addresses, and the prefetch pass (in every mode, on both
+/// machine parameterizations) must preserve results.
 TEST(DifferentialTest, PrefetchPassPreservesRandomLoopResults) {
   SplitMix64 Rng(0x51515151);
   for (int Round = 0; Round != 15; ++Round) {
@@ -204,11 +276,14 @@ TEST(DifferentialTest, PrefetchPassPreservesRandomLoopResults) {
     PhiInst *Acc = L.addCarried(B.i64(0));
     L.beginBody(B.cmpLt(I, Fn->arg(1)));
     Value *Obj = B.aload(Fn->arg(0), I, Type::Ref);
+    // The loop's loads in execution order.
+    std::vector<const Instruction *> LoopLoads = {cast<Instruction>(Obj)};
     Value *AccNext = Acc;
     unsigned Loads = 1 + static_cast<unsigned>(Rng.nextBelow(3));
     for (unsigned K = 0; K != Loads; ++K) {
       const auto *F = Fields[Rng.nextBelow(Fields.size())];
       Value *V = B.getField(Obj, F);
+      LoopLoads.push_back(cast<Instruction>(V));
       if (F->Ty == Type::I32)
         V = B.conv(ConvInst::ConvOp::SExt32To64, V);
       AccNext = B.add(AccNext, V);
@@ -218,12 +293,42 @@ TEST(DifferentialTest, PrefetchPassPreservesRandomLoopResults) {
     B.ret(Acc);
     ASSERT_TRUE(verifyMethod(Fn));
 
-    // Reference result, untransformed.
+    // Reference result, untransformed, with the engine's access stream.
     uint64_t Expected;
+    std::vector<exec::AccessEvent> Events;
     {
       sim::MemorySystem Mem((*sim::MachineConfig::byName("pentium4")));
-      exec::Interpreter Interp(Heap, Mem);
+      trace::CapturingSink Capture(Mem, Events);
+      exec::Interpreter Interp(Heap, Capture);
       Expected = Interp.run(Fn, {Arr, N});
+    }
+
+    // Object inspection records, per load and iteration, the first
+    // address the engine accesses in that iteration.
+    {
+      std::vector<vm::Addr> EngineLoads;
+      for (const exec::AccessEvent &E : Events)
+        if (E.Kind == exec::EventKind::Load)
+          EngineLoads.push_back(E.Value);
+      ASSERT_EQ(EngineLoads.size(), size_t(N) * LoopLoads.size());
+      Fn->recomputePreds();
+      analysis::DominatorTree DT(Fn);
+      analysis::LoopInfo LI(Fn, DT);
+      core::LoadDependenceGraph G(LI.topLevelLoops()[0], LI);
+      core::ObjectInspector Insp(Heap, LI);
+      core::InspectionResult R =
+          Insp.inspect(Fn, {Arr, N}, LI.topLevelLoops()[0], G);
+      ASSERT_EQ(R.IterationsObserved, 20u);
+      for (size_t K = 0; K != LoopLoads.size(); ++K) {
+        const auto &Recs = R.Trace.at(LoopLoads[K]);
+        ASSERT_EQ(Recs.size(), 20u) << "round " << Round << " load " << K;
+        for (unsigned It = 0; It != 20; ++It) {
+          EXPECT_EQ(Recs[It].Iteration, It);
+          EXPECT_EQ(Recs[It].Address,
+                    EngineLoads[It * LoopLoads.size() + K])
+              << "round " << Round << " load " << K << " iteration " << It;
+        }
+      }
     }
 
     for (auto Machine : {(*sim::MachineConfig::byName("pentium4")),

@@ -419,8 +419,9 @@ TEST_F(GcTest, PromotionOrderPlacesInDiscoveryOrder) {
   while (Cur) {
     EXPECT_EQ(valOf(Cur), Expect--);
     Addr Next = H->load(Cur + FNext->Offset, ir::Type::Ref);
-    if (Next)
+    if (Next) {
       EXPECT_GT(Next, Cur); // Chain order == address order now.
+    }
     Cur = Next;
     ASSERT_LE(++Hops, N);
   }

@@ -331,8 +331,9 @@ TEST(TraceReaderFuzzTest, ArbitraryBytesNeverYieldGarbageEvents) {
       One.push_back(E);
       ASSERT_LE(static_cast<unsigned>(E.Kind),
                 static_cast<unsigned>(EventKind::GuardedLoadFault));
-      if (E.Kind == EventKind::Load)
+      if (E.Kind == EventKind::Load) {
         ASSERT_LT(E.Site, Sites);
+      }
     }
 
     TraceReader Batched(Raw.data(), Raw.size(), Sites);
@@ -372,8 +373,9 @@ TEST(TraceReaderFuzzTest, TruncatedValidPayloadDecodesAPrefixThenFails) {
     ASSERT_LE(Got.size(), Full.size());
     ASSERT_TRUE(std::equal(Got.begin(), Got.end(), Full.begin()))
         << "prefix " << Len;
-    if (R.malformed())
+    if (R.malformed()) {
       EXPECT_LT(Got.size(), Full.size()) << Len;
+    }
   }
 }
 
@@ -924,8 +926,9 @@ TEST(RunPlanTraceTest, ReuseChangesNoStatisticAtAnyWorkerCount) {
     }
     // At one worker the schedule is the plan order, so the two baseline
     // cells of each workload (P4 first, Athlon second) share one trace.
-    if (Jobs == 1)
+    if (Jobs == 1) {
       EXPECT_GE(Reused.Trace.Hits, 2u);
+    }
   }
 }
 

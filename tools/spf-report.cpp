@@ -21,11 +21,22 @@
 ///     configurable thresholds. Exit 1 when any threshold trips (or the
 ///     reports are not comparable), 0 otherwise.
 ///
+///   spf-report normalize <report.json>
+///     Prints a sweep report as canonical JSON (object keys sorted, one
+///     line) without what legitimately differs between runs of the same
+///     sweep: the run metadata (trace, stats, provenance, isolated,
+///     journal, jobs) and each cell's wall-clock keys (replayed,
+///     interpret_us, replay_us, jit_total_us, jit_prefetch_us). Two
+///     normalized reports are byte-identical exactly when the runs
+///     simulated the same numbers.
+///
 //===----------------------------------------------------------------------===//
 
 #include "harness/JsonReader.h"
+#include "harness/JsonWriter.h"
 #include "harness/ReportDiff.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,6 +56,7 @@ int usage() {
       "usage: spf-report show <report.json>\n"
       "       spf-report validate [--prom] <file>...\n"
       "       spf-report diff <baseline.json> <fresh.json> [options]\n"
+      "       spf-report normalize <report.json>\n"
       "\n"
       "diff options (defaults reproduce the CI gates):\n"
       "  --max-throughput-drop-pct <P>   batched cells/sec may drop at most\n"
@@ -282,6 +294,82 @@ int cmdDiff(const std::vector<std::string> &Args) {
   return Regressions ? 1 : 0;
 }
 
+// -- normalize -----------------------------------------------------------
+
+/// Writes \p V with object keys in sorted order, skipping the members of
+/// \p Drop (at this level only).
+void writeCanonical(JsonWriter &J, const JsonValue &V,
+                    const std::vector<std::string> &Drop = {}) {
+  switch (V.kind()) {
+  case JsonValue::Kind::Null:
+    J.null();
+    break;
+  case JsonValue::Kind::Bool:
+    J.value(V.boolean());
+    break;
+  case JsonValue::Kind::Number:
+    if (V.isUnsigned())
+      J.value(V.u64());
+    else
+      J.value(V.number());
+    break;
+  case JsonValue::Kind::String:
+    J.value(V.str());
+    break;
+  case JsonValue::Kind::Array:
+    J.beginArray();
+    for (const JsonValue &E : V.array())
+      writeCanonical(J, E);
+    J.endArray();
+    break;
+  case JsonValue::Kind::Object:
+    J.beginObject();
+    for (const auto &[Key, Member] : V.objectMembers())
+      if (std::find(Drop.begin(), Drop.end(), Key) == Drop.end()) {
+        J.key(Key);
+        writeCanonical(J, Member);
+      }
+    J.endObject();
+    break;
+  }
+}
+
+int cmdNormalize(const std::vector<std::string> &Args) {
+  if (Args.size() != 1)
+    return usage();
+  std::unique_ptr<JsonValue> V = loadJson(Args[0]);
+  if (!V)
+    return 2;
+  if (V->kind() != JsonValue::Kind::Object || !V->has("cells")) {
+    std::fprintf(stderr, "spf-report: %s: not a sweep report\n",
+                 Args[0].c_str());
+    return 1;
+  }
+  const std::vector<std::string> RunKeys = {
+      "trace", "stats", "provenance", "isolated", "journal", "jobs"};
+  const std::vector<std::string> CellClockKeys = {
+      "replayed", "interpret_us", "replay_us", "jit_total_us",
+      "jit_prefetch_us"};
+  std::ostringstream OS;
+  JsonWriter J(OS);
+  J.beginObject();
+  for (const auto &[Key, Member] : V->objectMembers()) {
+    if (Key == "cells") {
+      J.key(Key).beginArray();
+      for (const JsonValue &Cell : Member.array())
+        writeCanonical(J, Cell, CellClockKeys);
+      J.endArray();
+    } else if (std::find(RunKeys.begin(), RunKeys.end(), Key) ==
+               RunKeys.end()) {
+      J.key(Key);
+      writeCanonical(J, Member);
+    }
+  }
+  J.endObject();
+  std::printf("%s\n", OS.str().c_str());
+  return 0;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -296,5 +384,7 @@ int main(int Argc, char **Argv) {
     return cmdValidate(Args);
   if (Cmd == "diff" || Cmd == "--diff")
     return cmdDiff(Args);
+  if (Cmd == "normalize")
+    return cmdNormalize(Args);
   return usage();
 }
